@@ -14,10 +14,14 @@
 // (the sweep fails a max_depth=60 bound and is clean at 65), the regime
 // where full-prefix replay hurts most. The table reports states/second per engine and
 // the parallel scaling curve; all engines must agree on (states, terminal
-// runs) for the sweep to count.
+// runs) for the sweep to count. The ParallelCost row adds CPU seconds per
+// million states at 4 threads.
 #include "bench_common.hpp"
 
+#include <time.h>
+
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
 
@@ -49,9 +53,19 @@ ExploreConfig e14_cfg(ExploreEngine engine, int threads) {
   return cfg;
 }
 
+/// Process CPU seconds consumed so far (all threads).
+double process_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// `cost`: also emit states_per_s (wall) and cpu_s_per_mstate — process
+/// CPU seconds per million explored states, which exposes per-state
+/// overhead that more threads can hide behind higher throughput.
 void run_one(benchmark::State& state, ExploreEngine engine, int threads, const char* label,
              const char* json_name, std::initializer_list<std::int64_t> json_args = {},
-             const DedupConfig* dedup = nullptr) {
+             const DedupConfig* dedup = nullptr, bool cost = false) {
   const TaskPtr task = e14_task();
   const ValueVec in = e14_inputs();
   const auto body = e14_body(task);
@@ -61,6 +75,8 @@ void run_one(benchmark::State& state, ExploreEngine engine, int threads, const c
   ExploreStats last_stats;
   bool ok = true;
   const std::uint64_t allocs_before = bench::alloc_count();
+  const double cpu0 = process_cpu_s();
+  const auto wall0 = std::chrono::steady_clock::now();
   for (auto _ : state) {
     ExploreConfig cfg = e14_cfg(engine, threads);
     if (dedup != nullptr) cfg.dedup_store = *dedup;
@@ -72,6 +88,9 @@ void run_one(benchmark::State& state, ExploreEngine engine, int threads, const c
     ok = ok && o.ok && !o.budget_exhausted;
   }
   const std::uint64_t allocs_delta = bench::alloc_count() - allocs_before;
+  const double cpu_s = process_cpu_s() - cpu0;
+  const double wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
   state.counters["states"] = static_cast<double>(last_states);
   state.counters["states/s"] =
       benchmark::Counter(static_cast<double>(states_total), benchmark::Counter::kIsRate);
@@ -101,6 +120,10 @@ void run_one(benchmark::State& state, ExploreEngine engine, int threads, const c
     state.counters["spill_bytes"] = static_cast<double>(last_stats.dedup_spill_bytes);
     state.counters["merges"] = static_cast<double>(last_stats.dedup_merges);
   }
+  if (cost && states_total > 0) {
+    state.counters["states_per_s"] = static_cast<double>(states_total) / wall_s;
+    state.counters["cpu_s_per_mstate"] = cpu_s / (static_cast<double>(states_total) * 1e-6);
+  }
   bench::alloc_counter(state, allocs_delta, static_cast<double>(states_total));
   bench::json_run(state, json_name, json_args);
   bench::row("%-22s | %8lld states | %7lld terminal | clean=%d", label,
@@ -124,6 +147,17 @@ void E14_Parallel(benchmark::State& state) {
   run_one(state, ExploreEngine::kIncremental, threads, label.c_str(), "E14_Parallel", {threads});
 }
 
+// Per-state cost of the parallel frontier at 4 threads: throughput alone
+// can rise while every state gets more expensive (contended shared lines
+// burn CPU on all workers), so this row also reports CPU seconds per
+// million states, which bench_diff treats as lower-is-better.
+void E14_ParallelCost(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
+  const std::string label = "parallel x" + std::to_string(threads) + " cost";
+  run_one(state, ExploreEngine::kIncremental, threads, label.c_str(), "E14_ParallelCost",
+          {threads}, nullptr, /*cost=*/true);
+}
+
 // Same sweep through the tiered dedup store with a memory budget small
 // enough (1 MiB over 64 shards) that every shard spills to disk several
 // times: exercises tier-0/1/2 traffic, run files and merges on the standard
@@ -144,5 +178,7 @@ void E14_Tiered(benchmark::State& state) {
 BENCHMARK(efd::E14_FullReplay)->Unit(benchmark::kMillisecond);
 BENCHMARK(efd::E14_Incremental)->Unit(benchmark::kMillisecond);
 BENCHMARK(efd::E14_Parallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond)
+    ->MeasureProcessCPUTime()->UseRealTime();
+BENCHMARK(efd::E14_ParallelCost)->Arg(4)->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();
 BENCHMARK(efd::E14_Tiered)->Unit(benchmark::kMillisecond);

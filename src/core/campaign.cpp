@@ -769,7 +769,9 @@ FarmStats run_farm(const std::vector<const CampaignTarget*>& targets, const Farm
         s.out = run_plan(*ts.target, s.plan, s.plan_seed, opts.monitors);
       });
     }
-    pool.run(std::move(tasks));
+    PoolStats pool_stats;
+    pool.run(std::move(tasks), &pool_stats);
+    stats.pool_steals += pool_stats.steals;
     ++stats.batches;
 
     // Phase 3a (sequential): decide which findings need a shrink — safety
@@ -796,7 +798,8 @@ FarmStats run_farm(const std::vector<const CampaignTarget*>& targets, const Farm
         shrinks.emplace_back(
             [s, tgt] { s->shrunk = shrink_finding(tgt->scenario, s->out.tape); });
       }
-      pool.run(std::move(shrinks));
+      pool.run(std::move(shrinks), &pool_stats);
+      stats.pool_steals += pool_stats.steals;
     }
 
     // Phase 3c (sequential, slot order): counters, coverage pool, corpus
@@ -904,6 +907,7 @@ telemetry::Json farm_json(const FarmStats& stats, const FarmOptions& opts,
   doc["coverage_sigs"] = Json(stats.coverage_sigs);
   doc["total_steps"] = Json(stats.total_steps);
   doc["batches"] = Json(stats.batches);
+  doc["pool_steals"] = Json(stats.pool_steals);
   doc["drained"] = Json(stats.drained);
   Json corpus = Json::object();
   corpus["dir"] = Json(opts.corpus_dir);

@@ -247,6 +247,7 @@ struct FarmStats {
   std::int64_t coverage_sigs = 0;
   std::int64_t total_steps = 0;
   std::int64_t batches = 0;
+  std::int64_t pool_steals = 0;  ///< plan/shrink jobs run off a foreign worker's deque
   double elapsed_s = 0;
   std::size_t corpus_size = 0;
   std::size_t corpus_aliases = 0;

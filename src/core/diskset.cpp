@@ -180,15 +180,15 @@ void DiskTier::drop_run(Run& r) noexcept {
 bool DiskTier::contains(std::size_t shard, std::uint64_t sig) {
   Shard& s = shards_[shard];
   if (s.runs.empty()) return false;
-  cold_probes_.fetch_add(1, std::memory_order_relaxed);
+  bump_locked(s.cold_probes);
   if (!s.bloom.maybe(sig)) {
-    bloom_skips_.fetch_add(1, std::memory_order_relaxed);
+    bump_locked(s.bloom_skips);
     return false;
   }
   // Newest-first: DFS dedup hits skew heavily toward recent spills.
   for (auto it = s.runs.rbegin(); it != s.runs.rend(); ++it) {
     if (std::binary_search(it->data, it->data + it->count, sig)) {
-      cold_hits_.fetch_add(1, std::memory_order_relaxed);
+      bump_locked(s.cold_hits);
       return true;
     }
   }
@@ -251,7 +251,7 @@ TieredSigSet::TieredSigSet(const DedupConfig& cfg)
       mem_(per_shard_budget(cfg), disk_.get()),
       id_(g_store_nonce.fetch_add(1, std::memory_order_relaxed)) {}
 
-bool TieredSigSet::insert(std::uint64_t sig) {
+bool TieredSigSet::insert(std::uint64_t sig, std::int64_t& recent_hits) {
   std::size_t slot = 0;
   const bool use_recent = cfg_.recent_bits > 0;
   if (use_recent) {
@@ -263,12 +263,11 @@ bool TieredSigSet::insert(std::uint64_t sig) {
     }
     slot = static_cast<std::size_t>(mix64(sig)) & (want - 1);
     if (sig != 0 && rc.slots[slot] == sig) {
-      recent_hits_.fetch_add(1, std::memory_order_relaxed);
+      ++recent_hits;
       return false;
     }
   }
   const bool fresh = mem_.insert(sig);
-  if (!fresh) dup_returns_.fetch_add(1, std::memory_order_relaxed);
   if (use_recent) t_recent.slots[slot] = sig;
   return fresh;
 }
@@ -285,8 +284,7 @@ TierStats TieredSigSet::tier_stats() const {
     t.spill_bytes = disk_->spill_bytes();
     t.merges = disk_->merges();
   }
-  t.mem_hits = std::max<std::int64_t>(
-      0, dup_returns_.load(std::memory_order_relaxed) - t.cold_hits);
+  t.mem_hits = std::max<std::int64_t>(0, mem_.duplicates() - t.cold_hits);
   return t;
 }
 

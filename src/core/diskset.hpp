@@ -95,9 +95,15 @@ class DiskTier final : public ShardedSigSet::ColdTier {
   bool contains(std::size_t shard, std::uint64_t sig) override;
   void spill(std::size_t shard, FlatSigSet& set) override;
 
-  [[nodiscard]] std::int64_t cold_probes() const noexcept { return cold_probes_.load(std::memory_order_relaxed); }
-  [[nodiscard]] std::int64_t bloom_skips() const noexcept { return bloom_skips_.load(std::memory_order_relaxed); }
-  [[nodiscard]] std::int64_t cold_hits() const noexcept { return cold_hits_.load(std::memory_order_relaxed); }
+  [[nodiscard]] std::int64_t cold_probes() const noexcept {
+    return sum_shards(shards_, &Shard::cold_probes);
+  }
+  [[nodiscard]] std::int64_t bloom_skips() const noexcept {
+    return sum_shards(shards_, &Shard::bloom_skips);
+  }
+  [[nodiscard]] std::int64_t cold_hits() const noexcept {
+    return sum_shards(shards_, &Shard::cold_hits);
+  }
   [[nodiscard]] std::int64_t spills() const noexcept { return spills_.load(std::memory_order_relaxed); }
   [[nodiscard]] std::int64_t spilled_sigs() const noexcept { return spilled_sigs_.load(std::memory_order_relaxed); }
   [[nodiscard]] std::int64_t spill_bytes() const noexcept { return spill_bytes_.load(std::memory_order_relaxed); }
@@ -121,11 +127,16 @@ class DiskTier final : public ShardedSigSet::ColdTier {
     const std::uint64_t* data = nullptr;
     std::size_t count = 0;
   };
-  struct Shard {
+  /// One cache line (or more) per shard: the probe counters are bumped on
+  /// every in-memory miss, under the owning ShardedSigSet shard's mutex.
+  struct alignas(kCacheLine) Shard {
     Bloom bloom;
     std::vector<Run> runs;
     std::size_t spilled = 0;              ///< signatures across all runs
     std::vector<std::uint64_t> scratch;   ///< drain/merge buffer (reused)
+    std::atomic<std::int64_t> cold_probes{0};
+    std::atomic<std::int64_t> bloom_skips{0};
+    std::atomic<std::int64_t> cold_hits{0};
   };
 
   void ensure_dir();
@@ -139,9 +150,7 @@ class DiskTier final : public ShardedSigSet::ColdTier {
   std::atomic<std::uint64_t> run_seq_{0};
   std::vector<Shard> shards_;
 
-  std::atomic<std::int64_t> cold_probes_{0};
-  std::atomic<std::int64_t> bloom_skips_{0};
-  std::atomic<std::int64_t> cold_hits_{0};
+  // Spill-side counters: bumped once per spill or merge, not per probe.
   std::atomic<std::int64_t> spills_{0};
   std::atomic<std::int64_t> spilled_sigs_{0};
   std::atomic<std::int64_t> spill_bytes_{0};
@@ -157,10 +166,27 @@ class TieredSigSet {
  public:
   explicit TieredSigSet(const DedupConfig& cfg);
 
-  /// True iff `sig` was never inserted before (across all tiers).
-  bool insert(std::uint64_t sig);
+  /// True iff `sig` was never inserted before (across all tiers). A
+  /// duplicate answered by the tier-0 cache adds one to `recent_hits`, a
+  /// counter the caller owns: the hot path writes no store-wide line. Hand
+  /// the count back with add_recent_hits() when done.
+  bool insert(std::uint64_t sig, std::int64_t& recent_hits);
 
-  /// Unique signatures ever inserted (atomic; never torn).
+  /// insert() that books its tier-0 hit (if any) into the store directly.
+  bool insert(std::uint64_t sig) {
+    std::int64_t hits = 0;
+    const bool fresh = insert(sig, hits);
+    add_recent_hits(hits);
+    return fresh;
+  }
+
+  /// Books tier-0 hits counted by insert(sig, recent_hits) callers.
+  void add_recent_hits(std::int64_t n) noexcept {
+    if (n != 0) recent_hits_.fetch_add(n, std::memory_order_relaxed);
+  }
+
+  /// Unique signatures ever inserted (per-shard counts summed; see
+  /// ShardedSigSet::size).
   [[nodiscard]] std::size_t size() const noexcept { return mem_.size(); }
 
   /// True once the in-memory budget was exceeded with no disk tier to
@@ -177,10 +203,10 @@ class TieredSigSet {
   std::unique_ptr<DiskTier> disk_;  ///< null when the disk tier is off
   ShardedSigSet mem_;
   std::uint64_t id_;  ///< nonce binding tier-0 TLS caches to this store
+  /// Tier-0 hits handed back by callers. Duplicates of the locked path
+  /// (tier 1 or tier 2) are counted per shard by mem_; tier_stats derives
+  /// mem_hits as those minus cold_hits.
   std::atomic<std::int64_t> recent_hits_{0};
-  /// Duplicates reported by the locked path (tier 1 or tier 2); tier_stats
-  /// derives mem_hits as dup_returns - cold_hits.
-  std::atomic<std::int64_t> dup_returns_{0};
 };
 
 }  // namespace efd

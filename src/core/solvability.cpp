@@ -4,7 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
+#include <limits>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <utility>
 
 #include "core/diskset.hpp"
@@ -48,138 +51,136 @@ World make_explore_world(const ExploreConfig& cfg) {
 
 // ---------------------------------------------------------------------------
 // Budget + dedup context: the one piece of exploration state that is shared
-// when the frontier is sharded over threads. The sequential variant keeps the
-// hot path free of atomics; the parallel variant is the only cross-thread
-// state the workers touch (see DESIGN.md for why the clean-sweep outcome is
-// nevertheless thread-count-invariant).
+// when the frontier is sharded over threads (see DESIGN.md for why the
+// clean-sweep outcome is nevertheless thread-count-invariant).
+//
+// The parallel hot path writes no shared cache line per node except the
+// node's own dedup shard. Every explorer counts into a private Tally and
+// adds it in once, when its outcome is taken; the max_states budget is
+// drawn from one atomic in chunks. A sequential sweep takes the whole
+// budget as its one chunk, so its accounting is exactly the legacy
+// per-node count.
 // ---------------------------------------------------------------------------
+
+/// One explorer's private counters (the probe, each frontier job, or the
+/// sequential engine): plain increments, handed to ExploreContext::absorb
+/// once.
+struct Tally {
+  std::int64_t states = 0;       ///< states charged (incl. an over-budget one)
+  std::int64_t queries = 0;      ///< dedup lookups
+  std::int64_t misses = 0;       ///< lookups that inserted
+  std::int64_t recent_hits = 0;  ///< duplicates answered by the tier-0 cache
+  std::int64_t grant = 0;        ///< budget reserved and not yet charged
+};
 
 class ExploreContext {
  public:
-  virtual ~ExploreContext() = default;
-  /// Counts one state against the budget; false once the budget is exceeded
-  /// (the over-budget state is still counted, matching the legacy engine).
-  virtual bool charge() = 0;
-  /// Dedup insert; true iff `sig` was unseen. First insert wins.
-  virtual bool visit(std::uint64_t sig) = 0;
-  virtual bool stopped() const = 0;
-  virtual void stop() = 0;
-  virtual std::int64_t states() const = 0;
-  virtual bool exhausted() const = 0;
-  /// True once the dedup store hit its memory cap with no disk tier — the
-  /// sweep is aborted (charge() starts failing) and certifies nothing.
-  virtual bool mem_exhausted() const = 0;
-  /// The tiered store, when one is configured (nullptr = plain legacy set).
-  virtual const TieredSigSet* store() const = 0;
-  /// Dedup traffic so far: (lookups, first-inserts). For fully-covered clean
-  /// sweeps both are engine- and thread-count-invariant (unique signatures
-  /// are expanded exactly once, so lookup multiplicity is state-determined).
-  virtual std::pair<std::int64_t, std::int64_t> dedup_traffic() const = 0;
-};
-
-class SequentialContext final : public ExploreContext {
- public:
-  SequentialContext(std::int64_t max_states, const DedupConfig& store)
-      : max_states_(max_states),
+  /// `parallel`: the dedup set must take concurrent inserts and the budget
+  /// is handed out kBudgetChunk states at a time.
+  ExploreContext(std::int64_t max_states, const DedupConfig& store, bool parallel)
+      : budget_left_(std::max<std::int64_t>(max_states, 0)),
+        chunk_(parallel ? kBudgetChunk : std::numeric_limits<std::int64_t>::max()),
+        sharded_(parallel && store.plain() ? std::make_unique<ShardedSigSet>() : nullptr),
         tiered_(store.plain() ? nullptr : std::make_unique<TieredSigSet>(store)) {}
-  bool charge() override {
+
+  /// States one reservation grants a parallel explorer. A parallel sweep
+  /// can therefore give up at most threads × kBudgetChunk states short of
+  /// max_states (other workers' unspent grants); it then reruns
+  /// sequentially, which decides exactly.
+  static constexpr std::int64_t kBudgetChunk = 1024;
+
+  /// Counts one state against the budget; false once the budget is gone
+  /// (the over-budget state is still counted, matching the legacy engine).
+  bool charge(Tally& t) {
     // A memory-capped store that overflowed with no disk tier aborts the
     // sweep the same way max_states does: the result is a lower bound.
-    if (tiered_ != nullptr && tiered_->mem_exhausted()) {
-      exhausted_ = true;
-      return false;
-    }
-    if (++states_ > max_states_) {
-      exhausted_ = true;
-      return false;
-    }
-    return true;
-  }
-  bool visit(std::uint64_t sig) override {
-    ++queries_;
-    const bool fresh = tiered_ != nullptr ? tiered_->insert(sig) : visited_.insert(sig);
-    misses_ += fresh ? 1 : 0;
-    return fresh;
-  }
-  bool stopped() const override { return stop_; }
-  void stop() override { stop_ = true; }
-  std::int64_t states() const override { return states_; }
-  bool exhausted() const override { return exhausted_; }
-  bool mem_exhausted() const override {
-    return tiered_ != nullptr && tiered_->mem_exhausted();
-  }
-  const TieredSigSet* store() const override { return tiered_.get(); }
-  std::pair<std::int64_t, std::int64_t> dedup_traffic() const override {
-    return {queries_, misses_};
-  }
-
- private:
-  std::int64_t max_states_;
-  std::int64_t states_ = 0;
-  std::int64_t queries_ = 0;
-  std::int64_t misses_ = 0;
-  bool stop_ = false;
-  bool exhausted_ = false;
-  FlatSigSet visited_;  ///< flat probing set: no node alloc per insert
-  std::unique_ptr<TieredSigSet> tiered_;  ///< replaces visited_ when configured
-};
-
-class ParallelContext final : public ExploreContext {
- public:
-  ParallelContext(std::int64_t max_states, const DedupConfig& store)
-      : max_states_(max_states),
-        plain_(store.plain() ? std::make_unique<ShardedSigSet>() : nullptr),
-        tiered_(store.plain() ? nullptr : std::make_unique<TieredSigSet>(store)) {}
-  bool charge() override {
-    if (tiered_ != nullptr && tiered_->mem_exhausted()) {
+    if (mem_exhausted()) {
       exhausted_.store(true, std::memory_order_relaxed);
       return false;
     }
-    if (states_.fetch_add(1, std::memory_order_relaxed) + 1 > max_states_) {
+    ++t.states;
+    if (t.grant == 0 && (t.grant = reserve()) == 0) {
       exhausted_.store(true, std::memory_order_relaxed);
       return false;
     }
+    --t.grant;
     return true;
   }
-  bool visit(std::uint64_t sig) override {
-    queries_.fetch_add(1, std::memory_order_relaxed);
-    const bool fresh = tiered_ != nullptr ? tiered_->insert(sig) : plain_->insert(sig);
-    if (fresh) misses_.fetch_add(1, std::memory_order_relaxed);
+
+  /// Dedup insert; true iff `sig` was unseen. First insert wins.
+  bool visit(std::uint64_t sig, Tally& t) {
+    ++t.queries;
+    const bool fresh = tiered_ != nullptr    ? tiered_->insert(sig, t.recent_hits)
+                       : sharded_ != nullptr ? sharded_->insert(sig)
+                                             : flat_.insert(sig);
+    t.misses += fresh ? 1 : 0;
     return fresh;
   }
-  bool stopped() const override { return stop_.load(std::memory_order_acquire); }
-  void stop() override { stop_.store(true, std::memory_order_release); }
-  std::int64_t states() const override { return states_.load(std::memory_order_relaxed); }
-  bool exhausted() const override { return exhausted_.load(std::memory_order_relaxed); }
-  bool mem_exhausted() const override {
-    return tiered_ != nullptr && tiered_->mem_exhausted();
-  }
-  const TieredSigSet* store() const override { return tiered_.get(); }
-  std::pair<std::int64_t, std::int64_t> dedup_traffic() const override {
-    return {queries_.load(std::memory_order_relaxed), misses_.load(std::memory_order_relaxed)};
+
+  /// Adds an explorer's tally into the totals and returns its unspent grant
+  /// to the budget.
+  void absorb(Tally& t) {
+    if (t.grant != 0) budget_left_.fetch_add(t.grant, std::memory_order_relaxed);
+    states_.fetch_add(t.states, std::memory_order_relaxed);
+    queries_.fetch_add(t.queries, std::memory_order_relaxed);
+    misses_.fetch_add(t.misses, std::memory_order_relaxed);
+    if (tiered_ != nullptr) tiered_->add_recent_hits(t.recent_hits);
+    t = Tally{};
   }
 
+  [[nodiscard]] bool stopped() const { return stop_.load(std::memory_order_acquire); }
+  void stop() { stop_.store(true, std::memory_order_release); }
+  /// Absorbed totals: exact once every explorer has been absorbed.
+  [[nodiscard]] std::int64_t states() const { return states_.load(std::memory_order_relaxed); }
+  [[nodiscard]] std::int64_t queries() const { return queries_.load(std::memory_order_relaxed); }
+  [[nodiscard]] std::int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  [[nodiscard]] bool exhausted() const { return exhausted_.load(std::memory_order_relaxed); }
+  /// True once the dedup store hit its memory cap with no disk tier — the
+  /// sweep is aborted (charge() starts failing) and certifies nothing.
+  [[nodiscard]] bool mem_exhausted() const {
+    return tiered_ != nullptr && tiered_->mem_exhausted();
+  }
+  /// The tiered store, when one is configured (nullptr = plain legacy set).
+  [[nodiscard]] const TieredSigSet* store() const { return tiered_.get(); }
+
  private:
-  std::int64_t max_states_;
-  std::atomic<std::int64_t> states_{0};
+  /// Takes up to one chunk of the remaining budget; 0 once it is gone.
+  std::int64_t reserve() {
+    std::int64_t left = budget_left_.load(std::memory_order_relaxed);
+    while (left > 0) {
+      const std::int64_t take = std::min(left, chunk_);
+      if (budget_left_.compare_exchange_weak(left, left - take, std::memory_order_relaxed)) {
+        return take;
+      }
+    }
+    return 0;
+  }
+
+  /// Written once per chunk: alone on its line.
+  alignas(kCacheLine) std::atomic<std::int64_t> budget_left_;
+  // Read at every node, written at most once per sweep.
+  alignas(kCacheLine) std::atomic<bool> stop_{false};
+  std::atomic<bool> exhausted_{false};
+  const std::int64_t chunk_;
+  // At most one set is live: the flat set for a sequential sweep, the
+  // sharded one for a parallel sweep, or the tiered store (budget + disk
+  // spill) for either when configured.
+  std::unique_ptr<ShardedSigSet> sharded_;
+  std::unique_ptr<TieredSigSet> tiered_;
+  FlatSigSet flat_;  ///< flat probing set: no node alloc per insert
+  /// Written once per absorbed explorer.
+  alignas(kCacheLine) std::atomic<std::int64_t> states_{0};
   std::atomic<std::int64_t> queries_{0};
   std::atomic<std::int64_t> misses_{0};
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> exhausted_{false};
-  // Exactly one of these is live: the plain set keeps the legacy workloads
-  // free of tier bookkeeping; the tiered store carries budget + disk spill.
-  std::unique_ptr<ShardedSigSet> plain_;
-  std::unique_ptr<TieredSigSet> tiered_;
 };
 
 /// Fills the context-derived fields of `stats` at the end of a sweep.
 void harvest_context(ExploreStats& stats, const ExploreContext& ctx, int threads,
                      double elapsed_s) {
   stats.states = ctx.states();
-  const auto [queries, misses] = ctx.dedup_traffic();
-  stats.dedup_queries = queries;
-  stats.dedup_misses = misses;
-  stats.dedup_hits = queries - misses;
+  stats.dedup_queries = ctx.queries();
+  stats.dedup_misses = ctx.misses();
+  stats.dedup_hits = stats.dedup_queries - stats.dedup_misses;
   stats.threads = threads;
   stats.elapsed_s = elapsed_s;
   stats.states_per_s = elapsed_s > 0 ? static_cast<double>(stats.states) / elapsed_s : 0;
@@ -274,14 +275,10 @@ class IncrementalExplorer {
     elig_stack_.resize(base);
   }
 
-  /// Advances to `prefix` WITHOUT entry bookkeeping (used by parallel
-  /// workers: the frontier expansion already accounted for the ancestors).
-  void seek(const std::vector<int>& prefix) {
-    for (int c : prefix) push_step(c);
-  }
-
-  /// Repositions the world at `prefix`, backtracking only past the common
-  /// ancestor (frontier expansion visits prefixes in near-sibling order).
+  /// Repositions the world at `prefix` WITHOUT entry bookkeeping (the
+  /// frontier expansion already accounted for the ancestors), backtracking
+  /// only past the common ancestor: the probe and the frontier workers
+  /// visit prefixes in near-sibling order.
   void move_to(const std::vector<int>& prefix) {
     std::size_t common = 0;
     while (common < prefix.size() && common < sched_.size() &&
@@ -297,7 +294,7 @@ class IncrementalExplorer {
   /// Entry bookkeeping for the current configuration, in the same order as
   /// the reference engine: budget → relation → terminal → depth → dedup.
   Node enter_node() {
-    if (!ctx_.charge()) {
+    if (!ctx_.charge(tally_)) {
       out_.budget_exhausted = true;
       ctx_.stop();
       return Node::kPruned;
@@ -318,13 +315,19 @@ class IncrementalExplorer {
       fail("no decision within step bound (possible non-termination)");
       return Node::kPruned;
     }
-    if (cfg_.dedup && !ctx_.visit(sig())) return Node::kPruned;
+    if (cfg_.dedup && !ctx_.visit(sig(), tally_)) return Node::kPruned;
     return Node::kExpand;
   }
 
   [[nodiscard]] const std::vector<int>& active() const noexcept { return window_.active(); }
   [[nodiscard]] const std::vector<int>& sched() const noexcept { return sched_; }
-  ExploreOutcome take_outcome() { return std::move(out_); }
+  /// The outcome so far, which is then reset (a reused explorer starts the
+  /// next subtree from zero); also hands this explorer's tally to the
+  /// context.
+  ExploreOutcome take_outcome() {
+    ctx_.absorb(tally_);
+    return std::exchange(out_, ExploreOutcome{});
+  }
 
   /// Eligible successors of the current configuration: the admission window
   /// filtered by the blocking-recv rule (substrate worlds). Counts a blocked
@@ -595,6 +598,7 @@ class IncrementalExplorer {
   ValueVec inputs_;
   ExploreConfig cfg_;
   ExploreContext& ctx_;
+  Tally tally_;
   ExploreOutcome out_;
 
   World w_;
@@ -646,7 +650,13 @@ class FullReplayExplorer {
     dfs(sched);
   }
 
-  ExploreOutcome take_outcome() { return std::move(out_); }
+  /// The outcome so far, which is then reset (a reused explorer starts the
+  /// next subtree from zero); also hands this explorer's tally to the
+  /// context.
+  ExploreOutcome take_outcome() {
+    ctx_.absorb(tally_);
+    return std::exchange(out_, ExploreOutcome{});
+  }
 
  private:
   struct ReplayInfo {
@@ -716,7 +726,7 @@ class FullReplayExplorer {
 
   void dfs(std::vector<int>& sched) {
     if (ctx_.stopped()) return;
-    if (!ctx_.charge()) {
+    if (!ctx_.charge(tally_)) {
       out_.budget_exhausted = true;
       ctx_.stop();
       return;
@@ -740,7 +750,7 @@ class FullReplayExplorer {
       ctx_.stop();
       return;
     }
-    if (cfg_.dedup && !ctx_.visit(info.sig)) return;
+    if (cfg_.dedup && !ctx_.visit(info.sig, tally_)) return;
     if (info.blocked) {
       ++out_.blocked_runs;  // dead end: live window, all blocked on recv
       return;
@@ -758,6 +768,7 @@ class FullReplayExplorer {
   ValueVec inputs_;
   ExploreConfig cfg_;
   ExploreContext& ctx_;
+  Tally tally_;
   ExploreOutcome out_;
   std::vector<ProcBody> bodies_;  ///< cached per-process bodies
 };
@@ -769,7 +780,7 @@ class FullReplayExplorer {
 ExploreOutcome explore_sequential(const TaskPtr& task,
                                   const std::function<ProcBody(int, Value)>& body,
                                   const ValueVec& inputs, const ExploreConfig& cfg) {
-  SequentialContext ctx(cfg.max_states, cfg.dedup_store);
+  ExploreContext ctx(cfg.max_states, cfg.dedup_store, /*parallel=*/false);
   ExploreOutcome out;
   const auto t0 = std::chrono::steady_clock::now();
   if (cfg.engine == ExploreEngine::kFullReplay) {
@@ -794,21 +805,26 @@ ExploreOutcome explore_sequential(const TaskPtr& task,
   return out;
 }
 
+/// Frontier roots per worker. Subtree sizes are very uneven, so many more
+/// roots than workers keep every worker busy until the sweep ends.
+constexpr std::size_t kRootsPerThread = 32;
+
 /// Parallel frontier: a short deterministic sequential expansion splits the
-/// tree into >= 4*threads un-entered subtree roots, which a work-stealing
-/// pool then explores against a shared budget and a shared first-insert-wins
-/// signature set. A CLEAN sweep's outcome is thread-count-invariant (the
-/// expanded-signature closure does not depend on insertion races — DESIGN.md
-/// gives the argument); any violation or budget exhaustion makes the
-/// parallel numbers schedule-dependent, so those cases rerun the sequential
-/// engine and return its canonical outcome — this doubles as the
-/// "lexicographically smallest bad_schedule wins" merge rule, since
-/// sequential DFS finds exactly that schedule first.
-ExploreOutcome explore_parallel(const TaskPtr& task,
-                                const std::function<ProcBody(int, Value)>& body,
-                                const ValueVec& inputs, const ExploreConfig& cfg) {
-  ParallelContext ctx(cfg.max_states, cfg.dedup_store);
-  const std::size_t target = static_cast<std::size_t>(cfg.threads) * 4;
+/// tree into >= kRootsPerThread*threads un-entered subtree roots, which a
+/// work-stealing pool then explores against a shared chunked budget and a
+/// shared first-insert-wins signature set. A CLEAN sweep's outcome is
+/// thread-count-invariant (the expanded-signature closure does not depend on
+/// insertion races — DESIGN.md gives the argument); any violation or budget
+/// exhaustion makes the parallel numbers schedule-dependent, so those cases
+/// rerun the sequential engine and return its canonical outcome — this
+/// doubles as the "lexicographically smallest bad_schedule wins" merge rule,
+/// since sequential DFS finds exactly that schedule first. Returns nullopt
+/// in those cases, once the parallel store is freed.
+std::optional<ExploreOutcome> try_parallel(const TaskPtr& task,
+                                           const std::function<ProcBody(int, Value)>& body,
+                                           const ValueVec& inputs, const ExploreConfig& cfg) {
+  ExploreContext ctx(cfg.max_states, cfg.dedup_store, /*parallel=*/true);
+  const std::size_t target = static_cast<std::size_t>(cfg.threads) * kRootsPerThread;
   const auto t0 = std::chrono::steady_clock::now();
 
   ExploreOutcome expansion_out;
@@ -836,28 +852,39 @@ ExploreOutcome explore_parallel(const TaskPtr& task,
   std::vector<ExploreOutcome> parts(roots.size());
   PoolStats pool_stats;
   if (!ctx.stopped() && !roots.empty()) {
+    // Explorers are recycled between jobs (at most one per worker is ever
+    // built): a fresh one per root would rebuild the world and respawn
+    // every process kRootsPerThread times per worker.
+    std::mutex spare_mu;
+    std::vector<std::unique_ptr<IncrementalExplorer>> spare;
+    const auto explore_root = [&](std::size_t i) {
+      if (ctx.stopped()) return;
+      std::unique_ptr<IncrementalExplorer> e;
+      {
+        std::lock_guard<std::mutex> lk(spare_mu);
+        if (!spare.empty()) {
+          e = std::move(spare.back());
+          spare.pop_back();
+        }
+      }
+      if (e == nullptr) e = std::make_unique<IncrementalExplorer>(task, body, inputs, cfg, ctx);
+      e->move_to(roots[i]);
+      e->dfs();
+      parts[i] = e->take_outcome();
+      std::lock_guard<std::mutex> lk(spare_mu);
+      spare.push_back(std::move(e));
+    };
     std::vector<std::function<void()>> jobs;
     jobs.reserve(roots.size());
     for (std::size_t i = 0; i < roots.size(); ++i) {
-      jobs.push_back([&, i] {
-        if (ctx.stopped()) return;
-        IncrementalExplorer e(task, body, inputs, cfg, ctx);
-        e.seek(roots[i]);
-        e.dfs();
-        parts[i] = e.take_outcome();
-      });
+      jobs.emplace_back([&explore_root, i] { explore_root(i); });
     }
     WorkStealingPool::run(std::move(jobs), cfg.threads, &pool_stats);
   }
 
   bool clean = expansion_out.ok;
   for (const ExploreOutcome& p : parts) clean = clean && p.ok;
-  if (!clean || ctx.exhausted()) {
-    // Canonical deterministic outcome (identical to threads == 1).
-    ExploreConfig seq = cfg;
-    seq.threads = 1;
-    return explore_sequential(task, body, inputs, seq);
-  }
+  if (!clean || ctx.exhausted()) return std::nullopt;
 
   ExploreOutcome out;
   out.terminal_runs = expansion_out.terminal_runs;
@@ -878,6 +905,16 @@ ExploreOutcome explore_parallel(const TaskPtr& task,
   out.stats.pool_steals = pool_stats.steals;
   harvest_context(out.stats, ctx, cfg.threads, dt.count());
   return out;
+}
+
+ExploreOutcome explore_parallel(const TaskPtr& task,
+                                const std::function<ProcBody(int, Value)>& body,
+                                const ValueVec& inputs, const ExploreConfig& cfg) {
+  if (std::optional<ExploreOutcome> out = try_parallel(task, body, inputs, cfg)) return *out;
+  // Canonical deterministic outcome (identical to threads == 1).
+  ExploreConfig seq = cfg;
+  seq.threads = 1;
+  return explore_sequential(task, body, inputs, seq);
 }
 
 }  // namespace

@@ -8,12 +8,14 @@
 //    may exit as soon as every deque is empty.
 //
 //  * ShardedSigSet — concurrent signature (de-dup) set: 64 mutex-striped
-//    hash sets keyed by a mixed shard index. insert() is first-insert-wins,
-//    which is what makes the parallel explorers' clean-sweep state counts
-//    thread-count-invariant (see DESIGN.md, "Exploration engine"). It is
-//    also the hot middle tier of the tiered dedup store (core/diskset.hpp):
-//    an optional per-shard byte budget + ColdTier hook spill overflowing
-//    shards to bloom-prefiltered disk runs, all under the shard mutex.
+//    hash sets keyed by a mixed shard index, one cache line per stripe, so
+//    an insert writes no line but its own stripe's. insert() is
+//    first-insert-wins, which is what makes the parallel explorers'
+//    clean-sweep state counts thread-count-invariant (see DESIGN.md,
+//    "Exploration engine"). It is also the hot middle tier of the tiered
+//    dedup store (core/diskset.hpp): an optional per-shard byte budget +
+//    ColdTier hook spill overflowing shards to bloom-prefiltered disk runs,
+//    all under the shard mutex.
 #pragma once
 
 #include <atomic>
@@ -80,6 +82,27 @@ class ResidentPool {
   int threads_ = 1;
 };
 
+/// Cache-line size the concurrent structures pad their hot members to.
+inline constexpr std::size_t kCacheLine = 64;
+
+/// Adds `n` to a counter that is only ever written under one mutex: a
+/// relaxed load + store, no locked RMW. Lock-free readers see it grow
+/// monotonically.
+inline void bump_locked(std::atomic<std::int64_t>& c, std::int64_t n = 1) noexcept {
+  c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+}
+
+/// Sums one bump_locked counter over an array of shards, one relaxed load
+/// each. Every per-shard count only grows, so one reader's successive sums
+/// never go backwards.
+template <class Shards, class Shard>
+[[nodiscard]] std::int64_t sum_shards(const Shards& shards,
+                                      std::atomic<std::int64_t> Shard::*field) noexcept {
+  std::int64_t n = 0;
+  for (const Shard& s : shards) n += (s.*field).load(std::memory_order_relaxed);
+  return n;
+}
+
 class ShardedSigSet {
  public:
   static constexpr std::size_t kShards = 64;
@@ -109,37 +132,40 @@ class ShardedSigSet {
   /// True iff `sig` was not present in the shard OR its cold storage (first
   /// insert wins). Thread-safe; the whole probe-insert-spill sequence holds
   /// the shard mutex, which is what keeps clean-sweep counts
-  /// thread-count-invariant with the disk tier active.
+  /// thread-count-invariant with the disk tier active. Touches no cache
+  /// line but the shard's own: the shard's counters are bumped under its
+  /// mutex, and shards are padded to a line each.
   bool insert(std::uint64_t sig) {
     const std::size_t idx = shard_of(sig);
     Shard& s = shards_[idx];
     std::lock_guard<std::mutex> lk(s.mu);
+    bool fresh = false;
     if (cold_ == nullptr && shard_budget_ == 0) {
-      const bool fresh = s.set.insert(sig);
-      if (fresh) size_.fetch_add(1, std::memory_order_relaxed);
-      return fresh;
-    }
-    if (s.set.contains(sig)) return false;
-    if (cold_ != nullptr && cold_->contains(idx, sig)) return false;
-    s.set.insert(sig);
-    size_.fetch_add(1, std::memory_order_relaxed);
-    if (shard_budget_ != 0 && s.set.bytes() > shard_budget_) {
-      if (cold_ != nullptr) {
-        cold_->spill(idx, s.set);
-      } else {
-        mem_exhausted_.store(true, std::memory_order_relaxed);
+      fresh = s.set.insert(sig);
+    } else if (!s.set.contains(sig) && (cold_ == nullptr || !cold_->contains(idx, sig))) {
+      fresh = true;
+      s.set.insert(sig);
+      if (shard_budget_ != 0 && s.set.bytes() > shard_budget_) {
+        if (cold_ != nullptr) {
+          cold_->spill(idx, s.set);
+        } else {
+          mem_exhausted_.store(true, std::memory_order_relaxed);
+        }
       }
     }
-    return true;
+    bump_locked(fresh ? s.inserted : s.duplicates);
+    return fresh;
   }
 
-  /// Signatures ever first-inserted (in-memory + spilled). Maintained as one
-  /// atomic counter, so a mid-sweep read is never torn: it is exactly the
-  /// number of successful insert() calls that happened-before the load
-  /// (the old implementation locked stripes one at a time and could return
-  /// a total no single moment ever exhibited).
+  /// Signatures ever first-inserted (in-memory + spilled): the per-shard
+  /// counts summed without locking (monotone for any one reader).
   [[nodiscard]] std::size_t size() const noexcept {
-    return size_.load(std::memory_order_relaxed);
+    return static_cast<std::size_t>(sum_shards(shards_, &Shard::inserted));
+  }
+
+  /// insert() calls that reported a duplicate (summed like size()).
+  [[nodiscard]] std::int64_t duplicates() const noexcept {
+    return sum_shards(shards_, &Shard::duplicates);
   }
 
   /// True once any shard crossed its byte budget with no cold tier to spill
@@ -165,14 +191,19 @@ class ShardedSigSet {
     return static_cast<std::size_t>((sig * 0x9E3779B97F4A7C15ULL) >> 58) % kShards;
   }
 
-  struct Shard {
+  /// One stripe per cache line (or more): packed, neighbouring stripes
+  /// would share lines, and an insert on one would invalidate the others'
+  /// lines on every other core.
+  struct alignas(kCacheLine) Shard {
     mutable std::mutex mu;
     FlatSigSet set;  ///< flat probing set: no node alloc per insert
+    std::atomic<std::int64_t> inserted{0};    ///< first inserts (written under mu)
+    std::atomic<std::int64_t> duplicates{0};  ///< duplicate inserts (written under mu)
   };
+
   Shard shards_[kShards];
   std::size_t shard_budget_ = 0;  ///< bytes per shard; 0 = unlimited
   ColdTier* cold_ = nullptr;      ///< overflow target; null = latch exhaustion
-  std::atomic<std::size_t> size_{0};
   std::atomic<bool> mem_exhausted_{false};
 };
 

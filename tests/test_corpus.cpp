@@ -226,6 +226,34 @@ TEST(Farm, VerdictsAreDeterministicAcrossRunsAndWorkerCounts) {
   EXPECT_EQ(ra.coverage_sigs, rb.coverage_sigs);
 }
 
+TEST(Farm, PoolStealsAreReportedAndVerdictsMatchAcrossWorkerCounts) {
+  std::vector<const CampaignTarget*> targets = {find_campaign_target("cons"),
+                                                find_campaign_target("synth")};
+  ASSERT_NE(targets[0], nullptr);
+  ASSERT_NE(targets[1], nullptr);
+  FarmOptions one = small_farm("");
+  one.workers = 1;
+  FarmOptions four = small_farm("");
+  four.workers = 4;
+  const FarmStats r1 = run_farm(targets, one);
+  const FarmStats r4 = run_farm(targets, four);
+  EXPECT_EQ(r1.pool_steals, 0) << "a single worker has no foreign deque to steal from";
+  EXPECT_GE(r4.pool_steals, 0);
+  EXPECT_EQ(r1.plans, r4.plans);
+  EXPECT_EQ(r1.clean, r4.clean);
+  EXPECT_EQ(r1.violations, r4.violations);
+  EXPECT_EQ(r1.total_steps, r4.total_steps);
+  EXPECT_EQ(r1.coverage_sigs, r4.coverage_sigs);
+  ASSERT_EQ(r1.targets.size(), r4.targets.size());
+  for (std::size_t i = 0; i < r1.targets.size(); ++i) {
+    EXPECT_EQ(r1.targets[i].safety_violations, r4.targets[i].safety_violations);
+    EXPECT_EQ(r1.targets[i].wait_free_violations, r4.targets[i].wait_free_violations);
+  }
+  const telemetry::Json doc = farm_json(r4, four, "final");
+  ASSERT_NE(doc.find("pool_steals"), nullptr);
+  EXPECT_EQ(doc.find("pool_steals")->as_int(), r4.pool_steals);
+}
+
 TEST(Farm, OneShotAndFarmAgreeOnPlanVerdicts) {
   // The farm executes the SAME (plan_seed, plan) stream as run_campaign
   // (campaign_plan_seed + FaultPlan::sample), so with mutation off their

@@ -6,14 +6,17 @@
 //    probing), and the aside-tracked zero signature must not count toward
 //    the load factor;
 //  * ShardedSigSet::size() — hammered from 8 writer threads while a poller
-//    asserts monotonicity (the old stripe-by-stripe sum could return totals
-//    no single moment exhibited);
+//    asserts monotonicity (the per-shard counts are summed without locking,
+//    and one reader's successive sums must never go backwards);
 //  * TieredSigSet property tests against a std::unordered_set oracle —
 //    random streams with duplicates, forced spills at tiny byte budgets,
 //    merge-then-query equivalence, and the mem-exhaustion latch;
 //  * explorer integration — ExploreOutcome through the disk tier is
 //    byte-identical to the plain store across {1,2,8} threads, and a
-//    memory-capped store with no disk tier degrades to a lower bound.
+//    memory-capped store with no disk tier degrades to a lower bound;
+//  * parallel accounting — the chunked budget is exact at max_states
+//    S-1 / S / S+1 on both store shapes, and the per-explorer tallies give
+//    thread-count-invariant dedup telemetry whose tier shares add up.
 //
 // Labeled `dedup` in ctest; sized to stay viable under ASan/TSan builds.
 #include <gtest/gtest.h>
@@ -334,7 +337,8 @@ TEST(DedupConfig, FromEnvParsesTiersBudgetAndDir) {
 // memory-capped lower-bound path.
 // ---------------------------------------------------------------------------
 
-ExploreOutcome sweep_with_store(const DedupConfig& store, int threads) {
+ExploreOutcome sweep_with_store(const DedupConfig& store, int threads,
+                                std::int64_t max_states = 400000) {
   const TaskPtr task = std::make_shared<SetAgreementTask>(4, 2);
   const ValueVec in = task->sample_input(1);
   const auto body = [task](int, Value input) {
@@ -343,7 +347,7 @@ ExploreOutcome sweep_with_store(const DedupConfig& store, int threads) {
   ExploreConfig cfg;
   cfg.k = 2;
   cfg.arrival = {0, 1, 2, 3};
-  cfg.max_states = 400000;
+  cfg.max_states = max_states;
   cfg.engine = ExploreEngine::kIncremental;
   cfg.threads = threads;
   cfg.dedup_store = store;
@@ -381,6 +385,75 @@ TEST(TieredExplore, MemoryCapWithoutDiskReportsLowerBound) {
 
   const ExploreOutcome full = sweep_with_store(DedupConfig{}, 1);
   EXPECT_LT(o.states, full.states) << "the capped sweep must have stopped early";
+}
+
+// ---------------------------------------------------------------------------
+// Parallel accounting: chunked budget reservation, per-explorer tallies.
+// ---------------------------------------------------------------------------
+
+/// Disk tier with a budget so small that every sweep spills constantly.
+DedupConfig spilling_store() {
+  DedupConfig cfg;
+  cfg.disk_tier = true;
+  cfg.mem_budget_bytes = 64 * 1024;
+  return cfg;
+}
+
+TEST(ParallelBudget, OutcomeAtTheBudgetBoundaryMatchesOneThread) {
+  const ExploreOutcome full = sweep_with_store(DedupConfig{}, 1);
+  ASSERT_TRUE(full.ok) << full.violation;
+  ASSERT_FALSE(full.budget_exhausted);
+  const std::int64_t s = full.states;
+  // Both store shapes; the tiered one without a memory cap, since spill
+  // traffic has no bearing on budget accounting.
+  DedupConfig tiered_store;
+  tiered_store.disk_tier = true;
+  for (const bool tiered : {false, true}) {
+    const DedupConfig store = tiered ? tiered_store : DedupConfig{};
+    for (const std::int64_t budget : {s - 1, s, s + 1}) {
+      const ExploreOutcome ref = sweep_with_store(store, 1, budget);
+      EXPECT_EQ(ref.budget_exhausted, budget < s) << "budget " << budget;
+      for (const int threads : {2, 4, 8}) {
+        const ExploreOutcome o = sweep_with_store(store, threads, budget);
+        const std::string where = std::string(tiered ? "tiered" : "plain") + " budget " +
+                                  std::to_string(budget) + " threads " +
+                                  std::to_string(threads);
+        EXPECT_EQ(o.ok, ref.ok) << where;
+        EXPECT_EQ(o.budget_exhausted, ref.budget_exhausted) << where;
+        EXPECT_EQ(o.states, ref.states) << where;
+        EXPECT_EQ(o.terminal_runs, ref.terminal_runs) << where;
+        EXPECT_EQ(o.bad_schedule, ref.bad_schedule) << where;
+        if (!o.budget_exhausted) {
+          EXPECT_LE(o.states, budget) << where << ": certified clean beyond the budget";
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelTallies, DeterministicTelemetryIsThreadCountInvariant) {
+  const ExploreOutcome ref = sweep_with_store(DedupConfig{}, 1);
+  ASSERT_TRUE(ref.ok) << ref.violation;
+  for (const bool tiered : {false, true}) {
+    const DedupConfig store = tiered ? spilling_store() : DedupConfig{};
+    for (const int threads : {1, 2, 4, 8}) {
+      const ExploreOutcome o = sweep_with_store(store, threads);
+      const std::string where =
+          std::string(tiered ? "tiered" : "plain") + " threads " + std::to_string(threads);
+      ASSERT_TRUE(o.ok) << where;
+      EXPECT_EQ(o.stats.states, ref.stats.states) << where;
+      EXPECT_EQ(o.stats.terminal_runs, ref.stats.terminal_runs) << where;
+      EXPECT_EQ(o.stats.dedup_queries, ref.stats.dedup_queries) << where;
+      EXPECT_EQ(o.stats.dedup_misses, ref.stats.dedup_misses) << where;
+      EXPECT_EQ(o.stats.dedup_hits, o.stats.dedup_queries - o.stats.dedup_misses) << where;
+      if (tiered) {
+        EXPECT_GT(o.stats.dedup_spills, 0) << where;
+        EXPECT_EQ(o.stats.dedup_recent_hits + o.stats.dedup_mem_hits + o.stats.dedup_cold_hits,
+                  o.stats.dedup_hits)
+            << where << ": tier shares do not add up";
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -75,7 +75,10 @@ struct SweepSummary {
   bool operator==(const SweepSummary&) const = default;
 };
 
-SweepSummary sweep(const std::function<World()>& factory, int kset, int k, int threads) {
+/// `tiered`: route dedup through the tiered store (tier-0 cache, disk tier
+/// on, no memory cap) instead of the environment's default store.
+SweepSummary sweep(const std::function<World()>& factory, int kset, int k, int threads,
+                   bool tiered = false) {
   const TaskPtr task = std::make_shared<SetAgreementTask>(kN, kset);
   ExploreConfig cfg;
   cfg.k = k;
@@ -83,6 +86,10 @@ SweepSummary sweep(const std::function<World()>& factory, int kset, int k, int t
   cfg.threads = threads;
   cfg.max_states = 2000000;
   cfg.world_factory = factory;
+  if (tiered) {
+    cfg.dedup_store = DedupConfig{};
+    cfg.dedup_store.disk_tier = true;
+  }
   const ExploreOutcome out = explore_k_concurrent(task, floodmin_body(), floodmin_inputs(), cfg);
   SweepSummary s;
   s.ok = out.ok;
@@ -104,11 +111,13 @@ TEST(Substrate, CountersAndVerdictsIdenticalAcrossBackendsAndThreads) {
       SCOPED_TRACE("kset=" + std::to_string(kset) + " k=" + std::to_string(k) +
                    " baseline states=" + std::to_string(baseline.states));
       ASSERT_FALSE(baseline.exhausted) << "budget too small for a certified comparison";
-      for (int threads : {1, 2, 8}) {
-        EXPECT_EQ(sweep(shm_factory(), kset, k, threads), baseline)
-            << "shm backend diverged at threads=" << threads;
-        EXPECT_EQ(sweep(msg_factory(), kset, k, threads), baseline)
-            << "msg backend diverged at threads=" << threads;
+      for (int threads : {1, 2, 4, 8}) {
+        for (bool tiered : {false, true}) {
+          EXPECT_EQ(sweep(shm_factory(), kset, k, threads, tiered), baseline)
+              << "shm backend diverged at threads=" << threads << " tiered=" << tiered;
+          EXPECT_EQ(sweep(msg_factory(), kset, k, threads, tiered), baseline)
+              << "msg backend diverged at threads=" << threads << " tiered=" << tiered;
+        }
       }
     }
   }

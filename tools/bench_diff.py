@@ -35,9 +35,10 @@ Usage:
         regression and makes the exit status 1. Counters whose name
         contains "allocs_per" are lower-is-better: an increase beyond
         the threshold (and beyond an absolute epsilon, so 0 -> ~0 noise
-        never trips) is a regression. Other counters are reported when
-        they differ but never fail the diff (they are workload-shape
-        figures, not performance).
+        never trips) is a regression; so are counters containing
+        "cpu_s_per" (CPU seconds per unit of work). Other counters are
+        reported when they differ but never fail the diff (they are
+        workload-shape figures, not performance).
 """
 
 import argparse
@@ -60,7 +61,10 @@ RATE_MARKERS = ("per_s", "per_iter", "/s", "hit_rate")
 # allocations at all, so the bar is a tight 0.002 allocs/step: enough for
 # one-off warm-up allocations amortized over a different iteration count,
 # far below any real per-state allocation creeping back in.
-LOWER_BETTER_MARKERS = ("allocs_per",)
+# "cpu_s_per" covers per-state CPU cost (E14's cpu_s_per_mstate): a parallel
+# row can gain throughput while every state burns more CPU, and only this
+# counter shows it.
+LOWER_BETTER_MARKERS = ("allocs_per", "cpu_s_per")
 ALLOC_EPSILON = 0.002
 # Experiments whose benches carry the allocation probe; --validate requires
 # the counter so a silently dropped probe cannot pass the smoke test.
@@ -70,6 +74,10 @@ ALLOC_PROBED_EXPERIMENTS = ("E13", "E14")
 # tiered row (and its spill coverage) cannot pass the smoke test.
 TIER_COUNTER_EXPERIMENTS = ("E14",)
 TIER_COUNTER_KEYS = ("recent_hit_rate", "mem_hit_rate", "spill_bytes")
+# Experiments that must report the parallel per-state cost: --validate
+# requires one benchmark carrying both counters.
+COST_COUNTER_EXPERIMENTS = ("E14",)
+COST_COUNTER_KEYS = ("states_per_s", "cpu_s_per_mstate")
 
 
 def fail(msg):
@@ -182,6 +190,10 @@ def validate_farm_doc(path, doc):
                 "total_steps", "batches"):
         check(isinstance(doc.get(key), int) and doc[key] >= 0,
               f"{key} must be a non-negative integer")
+    # Added after the schema's first release: absent in older records.
+    if "pool_steals" in doc:
+        check(isinstance(doc["pool_steals"], int) and doc["pool_steals"] >= 0,
+              "pool_steals must be a non-negative integer")
     check(doc["novel"] + doc["duplicates"] <= doc["violations"],
           "novel + duplicates exceeds violations")
     check(doc["clean"] + doc["violations"] == doc["plans"],
@@ -253,6 +265,11 @@ def validate_doc(path, doc, require_alloc_probe=True):
               f"no benchmark carries the tiered dedup counters "
               f"{TIER_COUNTER_KEYS} (experiment {doc['experiment']} must "
               f"exercise the tiered store)")
+    if require_alloc_probe and doc.get("experiment") in COST_COUNTER_EXPERIMENTS:
+        check(any(all(k in b.get("counters", {}) for k in COST_COUNTER_KEYS)
+                  for b in benches),
+              f"no benchmark carries the parallel cost counters "
+              f"{COST_COUNTER_KEYS} (experiment {doc['experiment']})")
     tables = doc.get("tables")
     check(isinstance(tables, list), "tables must be an array")
     for t in tables:

@@ -185,7 +185,7 @@ LassoResult find_nontermination(const SimProgramPtr& prog, const ValueVec& input
       parts[i] = LassoSearcher(prog, inputs, cfg).run_shard(first_moves[i]);
     });
   }
-  WorkStealingPool::run(std::move(jobs), cfg.threads);
+  ResidentPool(cfg.threads).run(std::move(jobs));
 
   LassoResult out;
   out.states = 1;  // the shared root, charged once

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace efd {
 namespace {
@@ -47,7 +48,84 @@ thread_local RecentCache t_recent;
 
 std::atomic<std::uint64_t> g_store_nonce{1};
 
+/// Adds one to a counter that is only ever written under one mutex: a
+/// relaxed load + store, no locked RMW. Lock-free readers see it grow
+/// monotonically.
+void bump_locked(std::atomic<std::int64_t>& c) noexcept {
+  c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+}
+
 }  // namespace
+
+/// Tier 2: per-stripe bloom prefilter + mmap'd disjoint sorted runs. Every
+/// per-stripe call arrives under that stripe's TieredSigSet mutex, so
+/// per-stripe state needs no further synchronization.
+class DiskTier {
+ public:
+  /// `dir_root`: where the (lazily created, mkdtemp-named) spill directory
+  /// goes; resolved via DedupConfig rules when empty.
+  explicit DiskTier(std::string dir_root);
+  ~DiskTier();
+  DiskTier(const DiskTier&) = delete;
+  DiskTier& operator=(const DiskTier&) = delete;
+
+  /// True iff `sig` was spilled to this stripe's runs earlier.
+  bool contains(std::size_t shard, std::uint64_t sig);
+  /// Moves the stripe's in-memory contents to a run (the set is drained
+  /// and reset to its initial footprint).
+  void spill(std::size_t shard, FlatSigSet& set);
+
+  /// Copies this tier's counters into `t` (all but the tier-0 and
+  /// in-memory hits, which the store counts).
+  void copy_stats(TierStats& t) const noexcept;
+  /// The mkdtemp'd spill directory ("" until the first spill creates it).
+  [[nodiscard]] std::string dir() const;
+
+  /// Runs per stripe before a merge compacts them into one.
+  static constexpr std::size_t kMergeRuns = 8;
+
+ private:
+  struct Bloom {
+    std::vector<std::uint64_t> words;  ///< power-of-two sized bit array
+    void reset(std::size_t expected_keys);
+    void add(std::uint64_t sig) noexcept;
+    [[nodiscard]] bool maybe(std::uint64_t sig) const noexcept;
+  };
+  struct Run {
+    void* map = nullptr;
+    std::size_t bytes = 0;
+    const std::uint64_t* data = nullptr;
+    std::size_t count = 0;
+  };
+  /// One cache line (or more) per stripe: the probe counters are bumped on
+  /// every in-memory miss, under the owning stripe's mutex.
+  struct alignas(kCacheLine) Shard {
+    Bloom bloom;
+    std::vector<Run> runs;
+    std::size_t spilled = 0;              ///< signatures across all runs
+    std::vector<std::uint64_t> scratch;   ///< drain/merge buffer (reused)
+    std::atomic<std::int64_t> cold_probes{0};
+    std::atomic<std::int64_t> bloom_skips{0};
+    std::atomic<std::int64_t> cold_hits{0};
+  };
+
+  void ensure_dir();
+  Run write_run(const std::vector<std::uint64_t>& sigs, std::size_t shard);
+  static void drop_run(Run& r) noexcept;
+  void merge_shard(Shard& s, std::size_t shard_idx);
+
+  std::string dir_root_;
+  mutable std::mutex dir_mu_;  ///< guards lazy creation of dir_ across stripes
+  std::string dir_;
+  std::atomic<std::uint64_t> run_seq_{0};
+  std::vector<Shard> shards_;
+
+  // Spill-side counters: bumped once per spill or merge, not per probe.
+  std::atomic<std::int64_t> spills_{0};
+  std::atomic<std::int64_t> spilled_sigs_{0};
+  std::atomic<std::int64_t> spill_bytes_{0};
+  std::atomic<std::int64_t> merges_{0};
+};
 
 // ---------------------------------------------------------------------------
 // DedupConfig
@@ -114,7 +192,7 @@ bool DiskTier::Bloom::maybe(std::uint64_t sig) const noexcept {
 
 DiskTier::DiskTier(std::string dir_root)
     : dir_root_(dir_root.empty() ? default_dir_root() : std::move(dir_root)),
-      shards_(ShardedSigSet::kShards) {}
+      shards_(TieredSigSet::kShards) {}
 
 DiskTier::~DiskTier() {
   for (Shard& s : shards_) {
@@ -170,6 +248,16 @@ DiskTier::Run DiskTier::write_run(const std::vector<std::uint64_t>& sigs, std::s
   if (r.map == MAP_FAILED) die("mmap " + path);
   r.data = static_cast<const std::uint64_t*>(r.map);
   return r;
+}
+
+void DiskTier::copy_stats(TierStats& t) const noexcept {
+  t.cold_probes = sum_shards(shards_, &Shard::cold_probes);
+  t.bloom_skips = sum_shards(shards_, &Shard::bloom_skips);
+  t.cold_hits = sum_shards(shards_, &Shard::cold_hits);
+  t.spills = spills_.load(std::memory_order_relaxed);
+  t.spilled_sigs = spilled_sigs_.load(std::memory_order_relaxed);
+  t.spill_bytes = spill_bytes_.load(std::memory_order_relaxed);
+  t.merges = merges_.load(std::memory_order_relaxed);
 }
 
 void DiskTier::drop_run(Run& r) noexcept {
@@ -241,51 +329,61 @@ std::size_t per_shard_budget(const DedupConfig& cfg) noexcept {
   if (cfg.mem_budget_bytes == 0) return 0;
   // Floor at 4 KiB so a tiny test budget still leaves a probe-able table
   // between spills rather than spilling on every insert.
-  return std::max<std::size_t>(cfg.mem_budget_bytes / ShardedSigSet::kShards, 4096);
+  return std::max<std::size_t>(cfg.mem_budget_bytes / TieredSigSet::kShards, 4096);
 }
 }  // namespace
 
 TieredSigSet::TieredSigSet(const DedupConfig& cfg)
-    : cfg_(cfg),
-      disk_(cfg.disk_tier ? std::make_unique<DiskTier>(cfg.spill_dir) : nullptr),
-      mem_(per_shard_budget(cfg), disk_.get()),
+    : disk_(cfg.disk_tier ? std::make_unique<DiskTier>(cfg.spill_dir) : nullptr),
+      shard_budget_(per_shard_budget(cfg)),
       id_(g_store_nonce.fetch_add(1, std::memory_order_relaxed)) {}
 
+TieredSigSet::~TieredSigSet() = default;
+
 bool TieredSigSet::insert(std::uint64_t sig, std::int64_t& recent_hits) {
-  std::size_t slot = 0;
-  const bool use_recent = cfg_.recent_bits > 0;
-  if (use_recent) {
-    RecentCache& rc = t_recent;
-    const std::size_t want = std::size_t{1} << cfg_.recent_bits;
-    if (rc.owner != id_ || rc.slots.size() != want) {
-      rc.owner = id_;
-      rc.slots.assign(want, 0);
-    }
-    slot = static_cast<std::size_t>(mix64(sig)) & (want - 1);
-    if (sig != 0 && rc.slots[slot] == sig) {
-      ++recent_hits;
-      return false;
-    }
+  RecentCache& rc = t_recent;
+  if (rc.owner != id_) {
+    rc.owner = id_;
+    rc.slots.assign(kRecentSlots, 0);
   }
-  const bool fresh = mem_.insert(sig);
-  if (use_recent) t_recent.slots[slot] = sig;
+  const std::size_t slot = static_cast<std::size_t>(mix64(sig)) & (kRecentSlots - 1);
+  if (sig != 0 && rc.slots[slot] == sig) {
+    ++recent_hits;
+    return false;
+  }
+
+  const std::size_t idx = shard_of(sig);
+  Shard& s = shards_[idx];
+  bool fresh = false;
+  {
+    std::lock_guard<std::mutex> lk(s.mu);
+    if (disk_ == nullptr) {
+      fresh = s.set.insert(sig);
+    } else if (!s.set.contains(sig) && !disk_->contains(idx, sig)) {
+      fresh = true;
+      s.set.insert(sig);
+    }
+    if (fresh && shard_budget_ != 0 && s.set.bytes() > shard_budget_) {
+      if (disk_ != nullptr) {
+        disk_->spill(idx, s.set);
+      } else {
+        mem_exhausted_.store(true, std::memory_order_relaxed);
+      }
+    }
+    bump_locked(fresh ? s.inserted : s.duplicates);
+  }
+  rc.slots[slot] = sig;
   return fresh;
 }
 
 TierStats TieredSigSet::tier_stats() const {
   TierStats t;
   t.recent_hits = recent_hits_.load(std::memory_order_relaxed);
-  if (disk_) {
-    t.cold_probes = disk_->cold_probes();
-    t.bloom_skips = disk_->bloom_skips();
-    t.cold_hits = disk_->cold_hits();
-    t.spills = disk_->spills();
-    t.spilled_sigs = disk_->spilled_sigs();
-    t.spill_bytes = disk_->spill_bytes();
-    t.merges = disk_->merges();
-  }
-  t.mem_hits = std::max<std::int64_t>(0, mem_.duplicates() - t.cold_hits);
+  if (disk_) disk_->copy_stats(t);
+  t.mem_hits = std::max<std::int64_t>(0, sum_shards(shards_, &Shard::duplicates) - t.cold_hits);
   return t;
 }
+
+std::string TieredSigSet::spill_dir() const { return disk_ ? disk_->dir() : std::string(); }
 
 }  // namespace efd

@@ -11,10 +11,9 @@
 // duplicates report false. Signatures are already avalanche-mixed by the
 // explorers (mix64 / content hashes), but the probe index is remixed here
 // anyway so a structured signature family cannot cluster the table.
-// Not thread-safe; ShardedSigSet (core/workpool.hpp) stripes instances of
-// this set behind per-shard mutexes for the parallel frontier, and the
-// tiered store (core/diskset.hpp) drains shards into disk runs via
-// drain_into() when they cross their byte budget.
+// Not thread-safe; the dedup store (core/diskset.hpp) stripes instances of
+// this set behind per-stripe mutexes, and drains a stripe into disk runs
+// via drain_into() when it crosses its byte budget.
 //
 // Slot arrays of kMapBytes and up are mapped straight from the kernel and
 // unmapped on free. A table grown on a pool worker would otherwise live in

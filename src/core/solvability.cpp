@@ -4,14 +4,12 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <utility>
 
 #include "core/diskset.hpp"
-#include "core/sigset.hpp"
 #include "core/workpool.hpp"
 #include "sim/schedule.hpp"
 
@@ -54,12 +52,12 @@ World make_explore_world(const ExploreConfig& cfg) {
 // when the frontier is sharded over threads (see DESIGN.md for why the
 // clean-sweep outcome is nevertheless thread-count-invariant).
 //
-// The parallel hot path writes no shared cache line per node except the
-// node's own dedup shard. Every explorer counts into a private Tally and
-// adds it in once, when its outcome is taken; the max_states budget is
-// drawn from one atomic in chunks. A sequential sweep takes the whole
-// budget as its one chunk, so its accounting is exactly the legacy
-// per-node count.
+// The hot path writes no shared cache line per node except the node's own
+// dedup stripe. Every explorer counts into a private Tally and adds it in
+// once, when its outcome is taken; the max_states budget is drawn from one
+// atomic in chunks. A lone explorer draws its chunks one after another and
+// fails exactly on the first state past max_states, so a sequential sweep's
+// count is the per-node count.
 // ---------------------------------------------------------------------------
 
 /// One explorer's private counters (the probe, each frontier job, or the
@@ -75,16 +73,11 @@ struct Tally {
 
 class ExploreContext {
  public:
-  /// `parallel`: the dedup set must take concurrent inserts and the budget
-  /// is handed out kBudgetChunk states at a time.
-  ExploreContext(std::int64_t max_states, const DedupConfig& store, bool parallel)
-      : budget_left_(std::max<std::int64_t>(max_states, 0)),
-        chunk_(parallel ? kBudgetChunk : std::numeric_limits<std::int64_t>::max()),
-        sharded_(parallel && store.plain() ? std::make_unique<ShardedSigSet>() : nullptr),
-        tiered_(store.plain() ? nullptr : std::make_unique<TieredSigSet>(store)) {}
+  ExploreContext(std::int64_t max_states, const DedupConfig& store)
+      : budget_left_(std::max<std::int64_t>(max_states, 0)), store_(store) {}
 
-  /// States one reservation grants a parallel explorer. A parallel sweep
-  /// can therefore give up at most threads × kBudgetChunk states short of
+  /// States one reservation grants an explorer. A parallel sweep can
+  /// therefore give up at most threads × kBudgetChunk states short of
   /// max_states (other workers' unspent grants); it then reruns
   /// sequentially, which decides exactly.
   static constexpr std::int64_t kBudgetChunk = 1024;
@@ -110,9 +103,7 @@ class ExploreContext {
   /// Dedup insert; true iff `sig` was unseen. First insert wins.
   bool visit(std::uint64_t sig, Tally& t) {
     ++t.queries;
-    const bool fresh = tiered_ != nullptr    ? tiered_->insert(sig, t.recent_hits)
-                       : sharded_ != nullptr ? sharded_->insert(sig)
-                                             : flat_.insert(sig);
+    const bool fresh = store_.insert(sig, t.recent_hits);
     t.misses += fresh ? 1 : 0;
     return fresh;
   }
@@ -124,7 +115,7 @@ class ExploreContext {
     states_.fetch_add(t.states, std::memory_order_relaxed);
     queries_.fetch_add(t.queries, std::memory_order_relaxed);
     misses_.fetch_add(t.misses, std::memory_order_relaxed);
-    if (tiered_ != nullptr) tiered_->add_recent_hits(t.recent_hits);
+    store_.add_recent_hits(t.recent_hits);
     t = Tally{};
   }
 
@@ -137,18 +128,15 @@ class ExploreContext {
   [[nodiscard]] bool exhausted() const { return exhausted_.load(std::memory_order_relaxed); }
   /// True once the dedup store hit its memory cap with no disk tier — the
   /// sweep is aborted (charge() starts failing) and certifies nothing.
-  [[nodiscard]] bool mem_exhausted() const {
-    return tiered_ != nullptr && tiered_->mem_exhausted();
-  }
-  /// The tiered store, when one is configured (nullptr = plain legacy set).
-  [[nodiscard]] const TieredSigSet* store() const { return tiered_.get(); }
+  [[nodiscard]] bool mem_exhausted() const { return store_.mem_exhausted(); }
+  [[nodiscard]] const TieredSigSet& store() const { return store_; }
 
  private:
   /// Takes up to one chunk of the remaining budget; 0 once it is gone.
   std::int64_t reserve() {
     std::int64_t left = budget_left_.load(std::memory_order_relaxed);
     while (left > 0) {
-      const std::int64_t take = std::min(left, chunk_);
+      const std::int64_t take = std::min(left, kBudgetChunk);
       if (budget_left_.compare_exchange_weak(left, left - take, std::memory_order_relaxed)) {
         return take;
       }
@@ -161,13 +149,7 @@ class ExploreContext {
   // Read at every node, written at most once per sweep.
   alignas(kCacheLine) std::atomic<bool> stop_{false};
   std::atomic<bool> exhausted_{false};
-  const std::int64_t chunk_;
-  // At most one set is live: the flat set for a sequential sweep, the
-  // sharded one for a parallel sweep, or the tiered store (budget + disk
-  // spill) for either when configured.
-  std::unique_ptr<ShardedSigSet> sharded_;
-  std::unique_ptr<TieredSigSet> tiered_;
-  FlatSigSet flat_;  ///< flat probing set: no node alloc per insert
+  TieredSigSet store_;
   /// Written once per absorbed explorer.
   alignas(kCacheLine) std::atomic<std::int64_t> states_{0};
   std::atomic<std::int64_t> queries_{0};
@@ -185,18 +167,16 @@ void harvest_context(ExploreStats& stats, const ExploreContext& ctx, int threads
   stats.elapsed_s = elapsed_s;
   stats.states_per_s = elapsed_s > 0 ? static_cast<double>(stats.states) / elapsed_s : 0;
   stats.mem_exhausted = ctx.mem_exhausted();
-  if (const TieredSigSet* store = ctx.store()) {
-    const TierStats t = store->tier_stats();
-    stats.dedup_recent_hits = t.recent_hits;
-    stats.dedup_mem_hits = t.mem_hits;
-    stats.dedup_cold_probes = t.cold_probes;
-    stats.dedup_bloom_skips = t.bloom_skips;
-    stats.dedup_cold_hits = t.cold_hits;
-    stats.dedup_spills = t.spills;
-    stats.dedup_spilled_sigs = t.spilled_sigs;
-    stats.dedup_spill_bytes = t.spill_bytes;
-    stats.dedup_merges = t.merges;
-  }
+  const TierStats t = ctx.store().tier_stats();
+  stats.dedup_recent_hits = t.recent_hits;
+  stats.dedup_mem_hits = t.mem_hits;
+  stats.dedup_cold_probes = t.cold_probes;
+  stats.dedup_bloom_skips = t.bloom_skips;
+  stats.dedup_cold_hits = t.cold_hits;
+  stats.dedup_spills = t.spills;
+  stats.dedup_spilled_sigs = t.spilled_sigs;
+  stats.dedup_spill_bytes = t.spill_bytes;
+  stats.dedup_merges = t.merges;
 }
 
 // ---------------------------------------------------------------------------
@@ -780,7 +760,7 @@ class FullReplayExplorer {
 ExploreOutcome explore_sequential(const TaskPtr& task,
                                   const std::function<ProcBody(int, Value)>& body,
                                   const ValueVec& inputs, const ExploreConfig& cfg) {
-  ExploreContext ctx(cfg.max_states, cfg.dedup_store, /*parallel=*/false);
+  ExploreContext ctx(cfg.max_states, cfg.dedup_store);
   ExploreOutcome out;
   const auto t0 = std::chrono::steady_clock::now();
   if (cfg.engine == ExploreEngine::kFullReplay) {
@@ -823,7 +803,7 @@ constexpr std::size_t kRootsPerThread = 32;
 std::optional<ExploreOutcome> try_parallel(const TaskPtr& task,
                                            const std::function<ProcBody(int, Value)>& body,
                                            const ValueVec& inputs, const ExploreConfig& cfg) {
-  ExploreContext ctx(cfg.max_states, cfg.dedup_store, /*parallel=*/true);
+  ExploreContext ctx(cfg.max_states, cfg.dedup_store);
   const std::size_t target = static_cast<std::size_t>(cfg.threads) * kRootsPerThread;
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -879,7 +859,7 @@ std::optional<ExploreOutcome> try_parallel(const TaskPtr& task,
     for (std::size_t i = 0; i < roots.size(); ++i) {
       jobs.emplace_back([&explore_root, i] { explore_root(i); });
     }
-    WorkStealingPool::run(std::move(jobs), cfg.threads, &pool_stats);
+    ResidentPool(cfg.threads).run(std::move(jobs), &pool_stats);
   }
 
   bool clean = expansion_out.ok;
@@ -893,10 +873,7 @@ std::optional<ExploreOutcome> try_parallel(const TaskPtr& task,
   for (const ExploreOutcome& p : parts) {
     out.terminal_runs += p.terminal_runs;
     out.blocked_runs += p.blocked_runs;
-    out.stats.max_undo_depth = std::max(out.stats.max_undo_depth, p.stats.max_undo_depth);
-    out.stats.respawns += p.stats.respawns;
-    out.stats.redelivers += p.stats.redelivers;
-    out.stats.ghost_hits += p.stats.ghost_hits;
+    out.stats.merge(p.stats);
   }
   out.states = ctx.states();
   const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
@@ -949,7 +926,7 @@ CleanLevelResult max_clean_level(const TaskPtr& task,
         swept[static_cast<std::size_t>(k)] = 1;
       });
     }
-    WorkStealingPool::run(std::move(jobs), base_cfg.threads);
+    ResidentPool(base_cfg.threads).run(std::move(jobs));
   } else {
     for (int k = 1; k <= k_max; ++k) {
       ExploreConfig cfg = base_cfg;

@@ -21,7 +21,7 @@
 //    results — deterministic replay makes that equivalent to never having
 //    rewound it. O(1) amortized work per edge.
 // With threads > 1 the incremental engine shards the DFS frontier over a
-// work-stealing pool with a sharded concurrent signature set; outcomes are
+// work-stealing pool sharing one concurrent signature set; outcomes are
 // reproducible regardless of thread count (see DESIGN.md, "Exploration
 // engine", for the determinism argument).
 //
@@ -79,12 +79,14 @@ struct ExploreConfig {
   /// registers-as-mailboxes side of a differential pair so both backends
   /// apply the identical rule.
   std::function<World()> world_factory;
-  /// Dedup store shape (core/diskset.hpp). The default reads EFD_DEDUP_TIERS
-  /// / EFD_DEDUP_MEM_MB / EFD_DEDUP_DIR, so every sweep in the process obeys
-  /// the environment; a default environment yields the plain in-memory store
-  /// and the zero-overhead legacy containers. Semantic counters (states,
-  /// terminal_runs, dedup_misses) are identical across store shapes — tiers
-  /// only move where duplicates are detected and where the memory lives.
+  /// Dedup store configuration (core/diskset.hpp). The default reads
+  /// EFD_DEDUP_TIERS / EFD_DEDUP_MEM_MB / EFD_DEDUP_DIR, so every sweep in
+  /// the process obeys the environment; a default environment means in
+  /// memory with no budget. Every sweep, sequential or parallel, uses the
+  /// same store; its configuration only adds a budget and a disk tier.
+  /// Semantic counters (states, terminal_runs, dedup_misses) are identical
+  /// across configurations — tiers only move where duplicates are detected
+  /// and where the memory lives.
   DedupConfig dedup_store = DedupConfig::from_env();
 };
 

@@ -56,8 +56,8 @@ struct ExploreStats {
   double elapsed_s = 0;            ///< wall time of the sweep
   double states_per_s = 0;         ///< states / elapsed_s (0 when unmeasured)
 
-  // -- tiered dedup store traffic (core/diskset.hpp; all zero when the
-  //    store runs in plain in-memory mode). Which tier answers a duplicate
+  // -- dedup store traffic (core/diskset.hpp; the cold and spill counters
+  //    stay zero without the disk tier). Which tier answers a duplicate
   //    is thread-interleaving dependent, so these live in the run-shape
   //    group even though their sums relate to the deterministic dedup
   //    counters (recent+mem+cold hits == dedup_hits). --

@@ -18,6 +18,7 @@
 
 #include "algo/one_concurrent.hpp"
 #include "core/bivalence.hpp"
+#include "core/diskset.hpp"
 #include "core/solvability.hpp"
 #include "core/workpool.hpp"
 #include "sim/memory.hpp"
@@ -429,14 +430,17 @@ TEST(ExploreEngine, UndoWriteRestoresExactMemoryState) {
   EXPECT_EQ(m.footprint(), 0u);
 }
 
-TEST(ExploreEngine, WorkStealingPoolRunsEveryTaskOnce) {
+TEST(ExploreEngine, OneShotResidentPoolRunsEveryTaskOnce) {
   std::atomic<int> hits{0};
   std::vector<std::function<void()>> tasks;
   for (int i = 0; i < 100; ++i) {
     tasks.push_back([&hits] { hits.fetch_add(1, std::memory_order_relaxed); });
   }
-  WorkStealingPool::run(std::move(tasks), 4);
+  // The one-shot form the parallel searches use: a pool built for one call.
+  PoolStats st;
+  ResidentPool(4).run(std::move(tasks), &st);
   EXPECT_EQ(hits.load(), 100);
+  EXPECT_EQ(st.tasks, 100);
 }
 
 TEST(ExploreEngine, ResidentPoolReusesItsCrewAcrossBatches) {
@@ -486,8 +490,8 @@ TEST(ExploreEngine, ResidentPoolRethrowsFirstTaskError) {
   EXPECT_EQ(hits.load(), 8);
 }
 
-TEST(ExploreEngine, ShardedSigSetFirstInsertWins) {
-  ShardedSigSet set;
+TEST(ExploreEngine, DedupStoreFirstInsertWins) {
+  TieredSigSet set;
   EXPECT_TRUE(set.insert(42));
   EXPECT_FALSE(set.insert(42));
   EXPECT_TRUE(set.insert(43));

@@ -9,7 +9,8 @@
 // table sweeps sampled plans through the real run_plan pipeline on the
 // E20 campaign targets (mpfm_raw / mpfm_rt) and reports the link-plan mix.
 // The timing rows price the fault layer itself: daemon-mode deliveries/s
-// with charges off vs on (the off row measures the `faults_idle` fast path,
+// with charges off vs on (both rows run the one drive loop; the off row, with
+// an empty Faults, measures the `faults_idle` fast path,
 // which must stay at E19-level throughput — bench_diff.py polices the
 // regression), and campaign plans/s with link dimensions off vs on.
 #include "bench_common.hpp"
@@ -60,11 +61,7 @@ E20Run e20_drive(bool hardened, bool storm, std::uint64_t seed) {
   World w = e20_world(hardened);
   RandomScheduler rs(seed);
   E20Run r;
-  if (storm) {
-    (void)drive_with_plan(w, rs, 30000, e20_storm());
-  } else {
-    (void)drive(w, rs, 30000);
-  }
+  (void)drive(w, rs, 30000, storm ? e20_storm().faults() : Faults{});
   r.steps = w.run_stats().steps;
   r.delivers = w.run_stats().delivers;
   r.dropped = msg_substrate(w)->fabric().fault_counters().dropped;
@@ -124,9 +121,10 @@ void e20_campaign_table() {
 
 // ---- timing rows ---------------------------------------------------------
 
-// Daemon-mode delivery throughput, fault charges off vs on. The off row is
-// the zero-cost-when-idle claim: the fabric consults the charge map through
-// one empty() test, so it must track E19_DaemonDrive throughput.
+// Daemon-mode delivery throughput, fault charges off vs on: the same drive
+// loop under an empty and the storm's Faults. The off row is the
+// zero-cost-when-idle claim: the fabric consults the charge map through one
+// empty() test, so it must track E19_DaemonDrive throughput.
 void E20_DeliveryThroughput(benchmark::State& state) {
   const bool storm = state.range(0) != 0;
   e20_acceptance_table();

@@ -12,7 +12,6 @@
 #include "core/repro_scenarios.hpp"
 #include "core/shrink.hpp"
 #include "core/workpool.hpp"
-#include "sim/msg_world.hpp"
 #include "sim/replay.hpp"
 #include "sim/schedule.hpp"
 
@@ -392,16 +391,16 @@ PlanOutcome run_plan(const CampaignTarget& target, const FaultPlan& plan,
     World rehearsal = sc->make_world(base, advice->history(base, plan_seed));
     const auto inner = target.make_sched(plan_seed);
     BurstScheduler bursts(*inner, plan.bursts);
-    const PlanDriveResult pdr = drive_with_plan(rehearsal, bursts, target.max_steps, plan);
-    out.rehearsal_steps = pdr.drive.steps;
+    const DriveResult dr = drive(rehearsal, bursts, target.max_steps, plan.faults());
+    out.rehearsal_steps = dr.steps;
     int never_crashed = target.num_s;
-    for (std::size_t k = 0; k < pdr.applied.size(); ++k) {
-      const auto qi = static_cast<std::size_t>(pdr.applied[k].s_index);
+    for (std::size_t k = 0; k < dr.applied.size(); ++k) {
+      const auto qi = static_cast<std::size_t>(dr.applied[k].s_index);
       if (crash_at[qi]) continue;
       // Correct algorithms are only live while some S-process survives:
       // cap the kills there so a liveness violation is the ALGORITHM's.
       if (target.expect_clean && never_crashed <= 1) continue;
-      crash_at[qi] = pdr.applied_at[k];
+      crash_at[qi] = dr.applied_at[k];
       --never_crashed;
     }
   }
@@ -412,7 +411,6 @@ PlanOutcome run_plan(const CampaignTarget& target, const FaultPlan& plan,
   // watches with plan-scaled bounds.
   const DetectorPtr eff_advice = plan.corrupt(target.advice());
   World w = sc->make_world(eff, eff_advice->history(eff, plan_seed));
-  w.enable_trace();
 
   std::int64_t total_burst = 0;
   for (const auto& b : plan.bursts) total_burst += b.length;
@@ -458,28 +456,15 @@ PlanOutcome run_plan(const CampaignTarget& target, const FaultPlan& plan,
 
   const auto inner = target.make_sched(plan_seed);
   BurstScheduler bursts(*inner, plan.bursts);
-  RecordingScheduler rec(bursts);
-  DriveResult dr;
-  std::vector<LinkFaultPoint> applied_links;
-  if (plan.links.empty()) {
-    dr = drive(w, rec, target.max_steps);
-  } else {
-    // Authoritative drive with the link half of the plan only: S-kills were
-    // already realized as the effective pattern above, so storms/triggers
-    // must not fire a second time. With no kills, triggers, or links,
-    // drive_with_plan steps identically to drive() — the branch exists so
-    // link-free targets provably keep their pre-link verdict stream.
-    FaultPlan link_only = plan;
-    link_only.storm.clear();
-    link_only.triggers.clear();
-    const PlanDriveResult pdr = drive_with_plan(w, rec, target.max_steps, link_only);
-    dr = pdr.drive;
-    applied_links = pdr.applied_links;
-  }
+  // Authoritative drive with the link half of the plan only: S-kills were
+  // already realized as the effective pattern above, so storms and triggers
+  // must not fire a second time.
+  ScheduleTape tape = record_tape(target.scenario, w, bursts, target.max_steps,
+                                  Faults{.links = plan.resolve_links()});
   w.attach_observer(nullptr);
   if (monitors) monitor.finalize(w);
 
-  out.steps = dr.steps;
+  out.steps = static_cast<std::int64_t>(tape.steps.size());
   out.monitored_steps = monitor.monitored_steps();
   out.max_own_steps_to_decide = monitor.max_own_steps_to_decide();
   for (const auto& v : monitor.violations()) {
@@ -510,9 +495,7 @@ PlanOutcome run_plan(const CampaignTarget& target, const FaultPlan& plan,
     }
   }
 
-  out.tape = ScheduleTape::capture(target.scenario, eff, rec.steps(), {}, w.trace());
-  out.tape.linkfaults = applied_links;
-  if (msg_substrate(w) != nullptr) out.tape.substrate = "msg";
+  out.tape = std::move(tape);
   // expect_violated records the SAFETY predicate outcome truthfully (a
   // wait-freedom-only tape replays "ok, as expected"); the finding line is
   // the triage-facing verdict that says WHY the tape was kept.
@@ -722,7 +705,10 @@ FarmStats run_farm(const std::vector<const CampaignTarget*>& targets, const Farm
       for (std::size_t t = 0; t < states.size(); ++t) {
         if (states[t].target->name == sub->first) { ti = static_cast<int>(t); break; }
       }
-      if (ti < 0) continue;  // unknown target name: drop the submission
+      if (ti < 0) {  // unknown target name: drop the submission, counted
+        ++stats.dropped_submissions;
+        continue;
+      }
       Slot s;
       s.target = ti;
       s.plan = std::move(sub->second);
@@ -904,6 +890,7 @@ telemetry::Json farm_json(const FarmStats& stats, const FarmOptions& opts,
   doc["shrink_replays_ok"] = Json(stats.shrink_replays_ok);
   doc["mutated"] = Json(stats.mutated);
   doc["external"] = Json(stats.external);
+  doc["dropped_submissions"] = Json(stats.dropped_submissions);
   doc["coverage_sigs"] = Json(stats.coverage_sigs);
   doc["total_steps"] = Json(stats.total_steps);
   doc["batches"] = Json(stats.batches);

@@ -7,19 +7,20 @@
 // FaultPlan::Space. For every plan seed the campaign:
 //
 //  1. samples a FaultPlan and, when it contains S-kills, resolves them in a
-//     REHEARSAL drive (drive_with_plan over the base pattern) into concrete
-//     crash times;
+//     REHEARSAL drive (drive under the plan's faults() over the base
+//     pattern) into concrete crash times;
 //  2. re-runs authoritatively with the EFFECTIVE failure pattern — the base
 //     pattern plus the rehearsed crash times — so honest advice is computed
 //     over the failures that actually happen (an Ω that keeps endorsing a
 //     killed leader would be a lie, not a fault-tolerance finding). The
 //     plan's FD corruption wraps the advice (fd/faulty.hpp), bursts wrap the
-//     scheduler, and a LivenessMonitor (core/monitors.hpp) watches every
-//     step with bounds scaled by the plan's corruption window and burst
-//     lengths;
+//     scheduler, only the plan's link faults are injected (the kills are in
+//     the pattern already), and a LivenessMonitor (core/monitors.hpp)
+//     watches every step with bounds scaled by the plan's corruption window
+//     and burst lengths. record_tape (sim/replay.hpp) runs this drive;
 //  3. evaluates the scenario safety predicate + the monitor's wait-freedom
-//     certificate; violations are captured as plain efd-tape-v1 tapes
-//     (FaultPlan text attached as the `plan` provenance line), saved under
+//     certificate; violations keep the recorded run as a plain efd-tape-v1
+//     tape (FaultPlan text attached as the `plan` provenance line), saved under
 //     save_dir, ddmin-shrunk via the scenario predicate, and re-verified by
 //     bit-identical double replay of the shrunk tape.
 //
@@ -244,6 +245,7 @@ struct FarmStats {
   std::int64_t shrink_replays_ok = 0;
   std::int64_t mutated = 0;
   std::int64_t external = 0;
+  std::int64_t dropped_submissions = 0;  ///< PlanSource submissions naming no farm target
   std::int64_t coverage_sigs = 0;
   std::int64_t total_steps = 0;
   std::int64_t batches = 0;

@@ -104,16 +104,11 @@ Proc endless_proposer(Context& ctx, int me, Value v) {
   }
 }
 
-/// Records `sched` driving `w` (which must be freshly spawned) with the
-/// given crash plan, and captures the tape with expect_* stamped.
-ScheduleTape record_run(const std::string& scenario_name, World& w, const FailurePattern& base,
-                        Scheduler& sched, std::int64_t max_steps,
-                        std::vector<CrashPoint> crashes) {
-  w.enable_trace();
-  RecordingScheduler rec(sched);
-  drive_with_crashes(w, rec, max_steps, crashes);
-  ScheduleTape t = ScheduleTape::capture(scenario_name, base, rec.steps(), std::move(crashes),
-                                         w.trace());
+/// Records `sched` driving `w` (which must be freshly spawned) under
+/// `faults`, and stamps the scenario predicate's outcome.
+ScheduleTape record_run(const std::string& scenario_name, World& w, Scheduler& sched,
+                        std::int64_t max_steps, const Faults& faults = {}) {
+  ScheduleTape t = record_tape(scenario_name, w, sched, max_steps, faults);
   t.expect_violated = find_scenario(scenario_name)->violated(w);
   return t;
 }
@@ -143,7 +138,7 @@ ScheduleTape synth_record(std::uint64_t seed) {
   const FailurePattern base(1);
   World w = make_synth_world(base, TrivialFd{}.history(base, 0));
   RandomScheduler rs(seed);
-  return record_run("synth_write_race", w, base, rs, 2000, {});
+  return record_run("synth_write_race", w, rs, 2000);
 }
 
 // ---- paxos_lockstep_livelock ----------------------------------------------
@@ -169,7 +164,7 @@ ScheduleTape paxos_record(std::uint64_t) {
   const FailurePattern base(0);
   World w = make_paxos_world(base, TrivialFd{}.history(base, 0));
   LockstepScheduler ls({cpid(0), cpid(1)});
-  return record_run("paxos_lockstep_livelock", w, base, ls, 400, {});
+  return record_run("paxos_lockstep_livelock", w, ls, 400);
 }
 
 // ---- cons_leader_crash_commit ---------------------------------------------
@@ -212,8 +207,7 @@ ScheduleTape cons_record(std::uint64_t seed) {
     World w = make_cons_world(base, omega.history(base, seed));
     w.enable_trace();
     RandomScheduler inner(seed ^ 0x5EED);
-    RecordingScheduler rec(inner);
-    drive_with_crashes(w, rec, 4000, {});
+    (void)drive(w, inner, 4000);
     const Sym acc = sym("cons/ACC");
     const auto& trace = w.trace();
     for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -231,7 +225,7 @@ ScheduleTape cons_record(std::uint64_t seed) {
   const std::int64_t budget = crashes.empty() ? 1500 : crashes.front().step_index + 400;
   World w = make_cons_world(base, omega.history(base, seed));
   RandomScheduler inner(seed ^ 0x5EED);
-  return record_run("cons_leader_crash_commit", w, base, inner, budget, std::move(crashes));
+  return record_run("cons_leader_crash_commit", w, inner, budget, {.crashes = std::move(crashes)});
 }
 
 // ---- renaming_flip_lockstep ------------------------------------------------
@@ -267,7 +261,7 @@ ScheduleTape ren_record(std::uint64_t) {
   const FailurePattern base(1);
   World w = make_ren_world(base, TrivialFd{}.history(base, 0));
   LockstepScheduler ls({cpid(0), cpid(1), cpid(2)});
-  return record_run("renaming_flip_lockstep", w, base, ls, 5000, {});
+  return record_run("renaming_flip_lockstep", w, ls, 5000);
 }
 
 // ---- ksa_starved_leader ----------------------------------------------------
@@ -308,7 +302,7 @@ ScheduleTape ksa_record(std::uint64_t seed) {
   SuppressScheduler sup(inner, [starved](Pid pid, const World&) {
     return pid == spid(starved);
   });
-  return record_run("ksa_starved_leader", w, base, sup, 6000, {});
+  return record_run("ksa_starved_leader", w, sup, 6000);
 }
 
 // ---- quitter_window --------------------------------------------------------
@@ -333,7 +327,7 @@ ScheduleTape quitter_record(std::uint64_t) {
   const FailurePattern base(0);
   World w = make_quitter_world(base, TrivialFd{}.history(base, 0));
   KConcurrencyScheduler ks(1, {0, 1, 2}, 0);
-  return record_run("quitter_window", w, base, ks, 200, {});
+  return record_run("quitter_window", w, ks, 200);
 }
 
 // ---- one_conc_window -------------------------------------------------------
@@ -370,7 +364,7 @@ ScheduleTape p1c_record(std::uint64_t) {
   const FailurePattern base(0);
   World w = make_p1c_world(base, TrivialFd{}.history(base, 0));
   KConcurrencyScheduler ks(1, {0, 1, 2}, 0);
-  return record_run("one_conc_window", w, base, ks, 400, {});
+  return record_run("one_conc_window", w, ks, 400);
 }
 
 // ---- buggy_cons_first_writer -----------------------------------------------
@@ -409,7 +403,7 @@ ScheduleTape bcf_record(std::uint64_t seed) {
   const FailurePattern base(1);
   World w = make_bcf_world(base, TrivialFd{}.history(base, 0));
   RandomScheduler rs(seed);
-  return record_run("buggy_cons_first_writer", w, base, rs, 400, {});
+  return record_run("buggy_cons_first_writer", w, rs, 400);
 }
 
 // ---- buggy_ren_stale_claim -------------------------------------------------
@@ -445,7 +439,7 @@ ScheduleTape brn_record(std::uint64_t seed) {
   const FailurePattern base(1);
   World w = make_brn_world(base, TrivialFd{}.history(base, 0));
   RandomScheduler rs(seed);
-  return record_run("buggy_ren_stale_claim", w, base, rs, 400, {});
+  return record_run("buggy_ren_stale_claim", w, rs, 400);
 }
 
 // ---- buggy_torn_commit -----------------------------------------------------
@@ -489,13 +483,8 @@ ScheduleTape tw_record(std::uint64_t seed) {
   // trigger resolves online into a concrete crash point the tape carries.
   FaultPlan plan;
   plan.triggers.push_back(CrashTrigger{"tw/A", OpKind::kWrite, 1, 1 + static_cast<int>(seed % 2)});
-  w.enable_trace();
   RandomScheduler inner(seed);
-  RecordingScheduler rec(inner);
-  const PlanDriveResult pdr = drive_with_plan(w, rec, 600, plan);
-  ScheduleTape t = ScheduleTape::capture("buggy_torn_commit", base, rec.steps(), pdr.applied,
-                                         w.trace());
-  t.expect_violated = tw_violated(w);
+  ScheduleTape t = record_run("buggy_torn_commit", w, inner, 600, plan.faults());
   t.plan = plan.to_string();
   return t;
 }
@@ -546,9 +535,7 @@ ScheduleTape mpfm_clean_record(std::uint64_t seed) {
   const FailurePattern base(kMpfmN * kMpfmN);
   World w = make_mpfm_world(base, TrivialFd{}.history(base, 0));
   RandomScheduler rs(seed);
-  ScheduleTape t = record_run("mp_floodmin_clean", w, base, rs, 4000, {});
-  t.substrate = "msg";
-  return t;
+  return record_run("mp_floodmin_clean", w, rs, 4000);
 }
 
 ScheduleTape mpfm_part_record(std::uint64_t seed) {
@@ -557,9 +544,7 @@ ScheduleTape mpfm_part_record(std::uint64_t seed) {
   RandomScheduler rs(seed);
   // p0 never decides (its group is alone), so the drive runs its full
   // budget: keep it small — the artifact is the blocking, not the length.
-  ScheduleTape t = record_run("mp_floodmin_partition", w, base, rs, 700, {});
-  t.substrate = "msg";
-  return t;
+  return record_run("mp_floodmin_partition", w, rs, 700);
 }
 
 ScheduleTape mpfm_crash_record(std::uint64_t seed) {
@@ -573,8 +558,7 @@ ScheduleTape mpfm_crash_record(std::uint64_t seed) {
     World w = make_mpfm_world(base, TrivialFd{}.history(base, 0));
     w.enable_trace();
     RandomScheduler inner(seed);
-    RecordingScheduler rec(inner);
-    drive_with_crashes(w, rec, 4000, {});
+    (void)drive(w, inner, 4000);
     const auto& trace = w.trace();
     for (std::size_t i = 0; i < trace.size(); ++i) {
       const auto& s = trace[i];
@@ -593,10 +577,7 @@ ScheduleTape mpfm_crash_record(std::uint64_t seed) {
   // Phase 2: the actual recording, same seed, with the mid-broadcast kills.
   World w = make_mpfm_world(base, TrivialFd{}.history(base, 0));
   RandomScheduler rs(seed);
-  ScheduleTape t =
-      record_run("mp_floodmin_crash_bcast", w, base, rs, 4000, std::move(crashes));
-  t.substrate = "msg";
-  return t;
+  return record_run("mp_floodmin_crash_bcast", w, rs, 4000, {.crashes = std::move(crashes)});
 }
 
 // ---- mp_floodmin lossy pair ------------------------------------------------
@@ -638,16 +619,9 @@ FaultPlan mpfm_drop_storm() {
 ScheduleTape mpfm_lossy_record(const std::string& scenario_name, World w, std::uint64_t seed,
                                std::int64_t max_steps) {
   const FaultPlan plan = mpfm_drop_storm();
-  w.enable_trace();
   RandomScheduler inner(seed);
-  RecordingScheduler rec(inner);
-  const PlanDriveResult pdr = drive_with_plan(w, rec, max_steps, plan);
-  ScheduleTape t =
-      ScheduleTape::capture(scenario_name, w.pattern(), rec.steps(), pdr.applied, w.trace());
-  t.expect_violated = find_scenario(scenario_name)->violated(w);
+  ScheduleTape t = record_run(scenario_name, w, inner, max_steps, plan.faults());
   t.plan = plan.to_string();
-  t.linkfaults = pdr.applied_links;
-  t.substrate = "msg";
   return t;
 }
 

@@ -18,13 +18,15 @@
 //                        bounded window (always paired with a heal, so a
 //                        plan can partition transiently, never permanently).
 //
-// drive_with_plan executes a plan: storms and trigger kills resolve ONLINE
-// into concrete, tape-ready CrashPoints (PlanDriveResult::applied), advice
-// corruption is baked into the FD samples the trace records, and bursts are
-// baked into the recorded pid schedule — so a recorded campaign failure is a
-// plain `efd-tape-v1` tape that replays and ddmin-shrinks with the existing
-// machinery, no plan object needed. The plan's one-line to_string() is
-// attached to the tape as a `plan` provenance line (ScheduleTape::plan).
+// A plan executes through the one drive loop (sim/schedule.hpp): faults()
+// hands it the storm, the resolved link actions and the triggers, which
+// resolve ONLINE into concrete, tape-ready CrashPoints
+// (DriveResult::applied); advice corruption is baked into the FD samples the
+// trace records, and bursts (BurstScheduler) into the recorded pid schedule
+// — so a recorded campaign failure is a plain `efd-tape-v1` tape that
+// replays and ddmin-shrinks with the existing machinery, no plan object
+// needed. The plan's one-line to_string() is attached to the tape as a
+// `plan` provenance line (ScheduleTape::plan).
 #pragma once
 
 #include <cstdint>
@@ -37,17 +39,6 @@
 #include "sim/schedule.hpp"
 
 namespace efd {
-
-/// Kill the S-process that performs the `occurrence`-th trace step matching
-/// (op, register-name prefix), `delay` schedule steps after the match.
-struct CrashTrigger {
-  std::string reg_prefix;       ///< canonical register-name prefix to watch
-  OpKind op = OpKind::kWrite;   ///< kWrite or kRead
-  int delay = 1;                ///< >= 1: steps between the match and the kill
-  int occurrence = 1;           ///< >= 1: fire on the k-th match
-
-  friend bool operator==(const CrashTrigger&, const CrashTrigger&) = default;
-};
 
 /// Suppress `victim` while the schedule-step index lies in
 /// [start_step, start_step + length). Finite, so eventual fairness of the
@@ -63,8 +54,8 @@ struct StarvationBurst {
 /// One link-layer fault: charge link ch[from][to] with `kind` when the drive
 /// reaches schedule step `step`. `amount` is the charge count (how many
 /// deliveries to drop/dup/delay, or the reorder window); for kSever it is
-/// the sever WINDOW — drive_with_plan resolves a sever into a sever charge
-/// at `step` plus a heal at `step + amount`.
+/// the sever WINDOW — resolve_links turns a sever into a sever charge at
+/// `step` plus a heal at `step + amount`.
 struct LinkAction {
   LinkFaultKind kind = LinkFaultKind::kDrop;
   std::int64_t step = 0;
@@ -113,8 +104,15 @@ class FaultPlan {
   /// canonical link names ("ch[i][j]"), stably sorted by step index. Each
   /// kSever action expands into a sever/heal pair `amount` steps apart, so
   /// every resolved sequence heals what it severs. No grid bounds are
-  /// checked here — charging skips links the target world does not have.
+  /// checked here — the drive skips links the target world does not have.
   [[nodiscard]] std::vector<LinkFaultPoint> resolve_links() const;
+
+  /// The plan's crash and link faults for one drive: {storm, resolve_links(),
+  /// triggers}. A plan may be wider than its world; the drive skips (and
+  /// reports apart) the points the world cannot take. Bursts wrap the
+  /// scheduler (BurstScheduler) and advice corruption happens at world
+  /// construction (corrupt), so neither is part of it.
+  [[nodiscard]] Faults faults() const { return {storm, resolve_links(), triggers}; }
 
   friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 
@@ -181,34 +179,5 @@ class BurstScheduler final : public Scheduler {
   std::vector<StarvationBurst> bursts_;
   std::int64_t attempt_ = 0;
 };
-
-struct PlanDriveResult {
-  DriveResult drive;
-  /// Crash points actually applied (storm hits on live processes + resolved
-  /// trigger kills), recorded at their application step index — feeding them
-  /// to drive_with_crashes replays the faults exactly. Sorted by step_index;
-  /// applied_at[i] is the model TIME of applied[i]'s injection, so an
-  /// equivalent FailurePattern (crash_time = applied_at) can be built — the
-  /// campaign uses it to recompute honest advice over the EFFECTIVE pattern.
-  std::vector<CrashPoint> applied;
-  std::vector<Time> applied_at;
-  /// Link-fault charges actually applied (resolved sever/heal pairs
-  /// included, charges against links the world lacks skipped), recorded at
-  /// their application step index: tape-ready for ScheduleTape::linkfaults,
-  /// replaying byte-identically through drive_with_crashes.
-  std::vector<LinkFaultPoint> applied_links;
-  int triggers_fired = 0;
-};
-
-/// drive() under `plan`'s crash and link faults: storm points apply at their
-/// step index, trigger matches arm kills `delay` steps later, both via
-/// World::inject_crash; resolved link actions charge the substrate at their
-/// step index (charges against links the world does not have are skipped —
-/// a plan may be wider than its world). Enables tracing when the plan has
-/// triggers (matching reads the trace). Starvation bursts are NOT applied
-/// here — wrap the scheduler in a BurstScheduler; advice corruption happens
-/// at world construction (FaultPlan::corrupt).
-PlanDriveResult drive_with_plan(World& w, Scheduler& sched, std::int64_t max_steps,
-                                const FaultPlan& plan);
 
 }  // namespace efd

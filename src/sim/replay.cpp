@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "sim/msg_world.hpp"
 #include "sim/world.hpp"
 
 namespace efd {
@@ -171,12 +172,14 @@ ScheduleTape ScheduleTape::capture(std::string scenario, const FailurePattern& b
             [](const CrashPoint& a, const CrashPoint& b) { return a.step_index < b.step_index; });
   // FD deltas: one entry whenever a process's sampled output changes.
   std::map<int, Value> last;
-  for (const auto& s : trace) {
-    if (s.op != OpKind::kQuery || s.null_step) continue;
-    const auto it = last.find(s.pid.index);
-    if (it != last.end() && it->second == s.result) continue;
-    last[s.pid.index] = s.result;
-    t.fd.push_back(FdDelta{s.pid.index, s.time, s.result});
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    if (trace.op_at(i) != OpKind::kQuery || trace.null_at(i)) continue;
+    const int qi = trace.pid_at(i).index;
+    const Value& result = trace.result_at(i);
+    const auto it = last.find(qi);
+    if (it != last.end() && it->second == result) continue;
+    last[qi] = result;
+    t.fd.push_back(FdDelta{qi, trace.time_at(i), result});
   }
   t.expect_hash = trace_hash(trace);
   return t;
@@ -396,55 +399,34 @@ void save_tape(const ScheduleTape& tape, const std::string& path) {
   if (!out) throw TapeIoError("save_tape: write failed for " + path);
 }
 
-DriveResult drive_with_crashes(World& w, Scheduler& sched, std::int64_t max_steps,
-                               const std::vector<CrashPoint>& crashes,
-                               const std::vector<LinkFaultPoint>& linkfaults) {
-  std::vector<CrashPoint> pending = crashes;
-  std::sort(pending.begin(), pending.end(),
-            [](const CrashPoint& a, const CrashPoint& b) { return a.step_index < b.step_index; });
-  std::vector<LinkFaultPoint> pending_lf = linkfaults;
-  std::stable_sort(pending_lf.begin(), pending_lf.end(),
-                   [](const LinkFaultPoint& a, const LinkFaultPoint& b) {
-                     return a.step_index < b.step_index;
-                   });
-  std::size_t next_crash = 0;
-  std::size_t next_lf = 0;
-
-  DriveResult r;
-  for (;;) {
-    while (next_crash < pending.size() && pending[next_crash].step_index <= r.steps) {
-      w.inject_crash(pending[next_crash].s_index);
-      ++next_crash;
-    }
-    while (next_lf < pending_lf.size() && pending_lf[next_lf].step_index <= r.steps) {
-      const LinkFaultPoint& p = pending_lf[next_lf];
-      w.substrate().apply_link_fault(RegAddr(p.link), p.kind, p.amount);
-      ++next_lf;
-    }
-    if (w.num_c() > 0 && w.all_c_decided()) {
-      r.all_c_decided = true;
-      return r;
-    }
-    if (r.steps >= max_steps) {
-      r.budget_exhausted = true;
-      return r;
-    }
-    const auto pid = sched.next(w);
-    if (!pid) {
-      r.exhausted = true;
-      return r;
-    }
-    w.step(*pid);
-    ++r.steps;
-  }
+ScheduleTape record_tape(std::string scenario, World& w, Scheduler& sched,
+                         std::int64_t max_steps, const Faults& faults) {
+  const FailurePattern base = w.pattern();  // before any injected crash
+  w.enable_trace();
+  RecordingScheduler rec(sched);
+  DriveResult r = drive(w, rec, max_steps, faults);
+  ScheduleTape t = ScheduleTape::capture(std::move(scenario), base, rec.steps(),
+                                         std::move(r.applied), w.trace());
+  t.linkfaults = std::move(r.applied_links);
+  if (msg_substrate(w) != nullptr) t.substrate = "msg";
+  return t;
 }
 
 ReplayResult replay_tape(World& w, const ScheduleTape& tape) {
   w.enable_trace();
   ReplayScheduler rs(tape);
   ReplayResult out;
-  out.drive = drive_with_crashes(w, rs, static_cast<std::int64_t>(tape.steps.size()),
-                                 tape.crashes, tape.linkfaults);
+  out.drive = drive(w, rs, static_cast<std::int64_t>(tape.steps.size()), tape.faults());
+  if (!out.drive.skipped.empty()) {
+    const CrashPoint& p = out.drive.skipped.front();
+    throw TapeError("replay_tape: crash at step " + std::to_string(p.step_index) + " names q" +
+                    std::to_string(p.s_index + 1) + ", an S-process the world lacks");
+  }
+  if (!out.drive.skipped_links.empty()) {
+    const LinkFaultPoint& p = out.drive.skipped_links.front();
+    throw TapeError("replay_tape: linkfault at step " + std::to_string(p.step_index) +
+                    " charges " + p.link + ", a link the world lacks");
+  }
   out.hash = trace_hash(w.trace());
   out.hash_match = !tape.expect_hash || *tape.expect_hash == out.hash;
   return out;

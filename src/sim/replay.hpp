@@ -7,14 +7,15 @@
 // byte-identically, diffed, shrunk (core/shrink.hpp) and checked into
 // tests/corpus/ as a one-command reproduction:
 //
-//  * RecordingScheduler wraps ANY scheduler and records the pids it emits;
-//  * ScheduleTape::capture folds the recorded schedule, the base failure
-//    pattern, the injected crash points, and the FD samples observed in the
-//    trace (stored as per-process value deltas) into one artifact;
+//  * record_tape drives ANY scheduler (wrapped in a RecordingScheduler, which
+//    records the pids it emits) under a set of Faults, and folds the
+//    recorded schedule, the base failure pattern, the crash points and link
+//    charges the drive applied, and the FD samples observed in the trace
+//    (stored as per-process value deltas) into one artifact;
 //  * replay_tape rebuilds the identical run in a fresh world: the tape's
 //    history() answers FD queries from the recorded deltas, so no detector
 //    object is needed — the tape is self-contained;
-//  * crash-point injection (drive_with_crashes + World::inject_crash) crashes
+//  * crash-point injection (drive's Faults + World::inject_crash) crashes
 //    an S-process at an exact schedule STEP INDEX, not just at the
 //    pattern-sampled times — "kill the leader mid-commit" is a tape entry.
 //
@@ -31,7 +32,6 @@
 
 #include "fd/failure_pattern.hpp"
 #include "fd/history.hpp"
-#include "sim/channel.hpp"  // LinkFaultKind
 #include "sim/schedule.hpp"
 #include "sim/trace.hpp"
 
@@ -55,32 +55,6 @@ class TapeParseError : public TapeError {
 class TapeIoError : public TapeError {
  public:
   using TapeError::TapeError;
-};
-
-/// Crash an S-process immediately before the schedule step with this index
-/// executes (index = position in the recorded step sequence, counting refused
-/// steps of already-crashed processes).
-struct CrashPoint {
-  std::int64_t step_index = 0;
-  int s_index = 0;
-
-  friend bool operator==(const CrashPoint&, const CrashPoint&) = default;
-};
-
-/// Charge `amount` link-fault charges of `kind` against the link named
-/// `link` ("ch[i][j]") immediately before the schedule step with this index
-/// executes. Unlike `plan`/`finding`, the tape's `linkfaults` line is
-/// SEMANTIC: a drop changes which messages reach a mailbox, so replay
-/// re-charges the fabric exactly as the recording drive did (sever/heal
-/// ignore the amount; it serializes as the sever window's length purely as
-/// provenance).
-struct LinkFaultPoint {
-  std::int64_t step_index = 0;
-  std::string link;
-  LinkFaultKind kind = LinkFaultKind::kDrop;
-  int amount = 1;
-
-  friend bool operator==(const LinkFaultPoint&, const LinkFaultPoint&) = default;
 };
 
 /// A recorded run: schedule, environment, and expectations. Text format
@@ -129,6 +103,9 @@ class ScheduleTape {
   /// The base failure pattern (injected crash points NOT applied).
   [[nodiscard]] FailurePattern pattern() const;
 
+  /// The faults replay re-applies: {crashes, linkfaults}.
+  [[nodiscard]] Faults faults() const { return {crashes, linkfaults, {}}; }
+
   /// Self-contained replay history: the value of q_{qi+1}'s module at time t
   /// is its latest recorded delta at or before t, ⊥ before the first. At the
   /// exact (process, time) points the recorded run queried, this reproduces
@@ -174,7 +151,7 @@ class RecordingScheduler final : public Scheduler {
 };
 
 /// Replays a tape's step sequence (an ExplicitSchedule over tape.steps; the
-/// crash points are applied by drive_with_crashes / replay_tape, since a
+/// crash points and link charges are applied by replay_tape's drive, since a
 /// scheduler cannot mutate the world).
 class ReplayScheduler final : public Scheduler {
  public:
@@ -190,16 +167,16 @@ class ReplayScheduler final : public Scheduler {
   std::size_t pos_ = 0;
 };
 
-/// drive() with crash-point fault injection: immediately before attempting
-/// step index i (= DriveResult::steps so far), every CrashPoint with
-/// step_index == i is applied via World::inject_crash, and every
-/// LinkFaultPoint with step_index == i is charged via
-/// Substrate::apply_link_fault (a link fault against a backend without
-/// faultable links throws). Stop causes as in drive(). Neither list need be
-/// sorted.
-DriveResult drive_with_crashes(World& w, Scheduler& sched, std::int64_t max_steps,
-                               const std::vector<CrashPoint>& crashes,
-                               const std::vector<LinkFaultPoint>& linkfaults = {});
+/// Records one run of `w` (freshly spawned) as a tape. Snapshots w.pattern()
+/// as the base pattern BEFORE driving (inject_crash mutates it), enables
+/// tracing, drives `sched` wrapped in a RecordingScheduler under `faults`,
+/// and captures the schedule, the crash points and link charges the drive
+/// APPLIED (points the world could not take are dropped: a plan may be wider
+/// than its world), the FD deltas and the trace hash; `substrate` is "msg"
+/// iff `w` is a message world. The tape's step count is the drive's.
+/// Callers stamp expect_violated, plan and finding themselves.
+[[nodiscard]] ScheduleTape record_tape(std::string scenario, World& w, Scheduler& sched,
+                                       std::int64_t max_steps, const Faults& faults = {});
 
 struct ReplayResult {
   DriveResult drive;
@@ -209,9 +186,12 @@ struct ReplayResult {
 
 /// Replays `tape` in `w` (which must have been freshly built from
 /// tape.pattern() / tape.history() plus the scenario's process bodies).
-/// Enables tracing, replays the schedule with the tape's crash points, and
+/// Enables tracing, replays the schedule with the tape's faults, and
 /// returns the trace hash. Replay stops early, exactly like the recording
-/// drive() did, once every C-process has decided.
+/// drive() did, once every C-process has decided. A tape is strict: if the
+/// world could not take one of its points (an S-process or a link it does
+/// not have) the tape does not describe a run of this world, and replay
+/// throws TapeError.
 ReplayResult replay_tape(World& w, const ScheduleTape& tape);
 
 }  // namespace efd

@@ -13,13 +13,17 @@
 //                        time (the paper's k-concurrent runs), interleaving
 //                        S-process steps fairly.
 // `drive` runs a world under a scheduler until all C-processes decide, the
-// scheduler is exhausted, or a step bound is hit.
+// scheduler is exhausted, or a step bound is hit, injecting the crashes and
+// link faults of a `Faults` value on the way. It is the only loop that steps
+// a world to a stop cause: plain runs, tape replay (sim/replay.hpp) and
+// fault plans (sim/faultplan.hpp) all go through it.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -233,11 +237,74 @@ class KConcurrencyScheduler final : public Scheduler {
   int s_budget_ = 0;
 };
 
+/// Crash an S-process immediately before the schedule step with this index
+/// executes (index = position in the step sequence, counting refused steps
+/// of already-crashed processes).
+struct CrashPoint {
+  std::int64_t step_index = 0;
+  int s_index = 0;
+
+  friend bool operator==(const CrashPoint&, const CrashPoint&) = default;
+};
+
+/// Charge `amount` link-fault charges of `kind` against the link named
+/// `link` ("ch[i][j]") immediately before the schedule step with this index
+/// executes. A tape's `linkfaults` line is SEMANTIC: a drop changes which
+/// messages reach a mailbox, so replay re-charges the fabric exactly as the
+/// recording drive did (sever/heal ignore the amount; it serializes as the
+/// sever window's length purely as provenance).
+struct LinkFaultPoint {
+  std::int64_t step_index = 0;
+  std::string link;
+  LinkFaultKind kind = LinkFaultKind::kDrop;
+  int amount = 1;
+
+  friend bool operator==(const LinkFaultPoint&, const LinkFaultPoint&) = default;
+};
+
+/// Kill the S-process that performs the `occurrence`-th trace step matching
+/// (op, register-name prefix), `delay` schedule steps after the match.
+struct CrashTrigger {
+  std::string reg_prefix;       ///< canonical register-name prefix to watch
+  OpKind op = OpKind::kWrite;   ///< kWrite or kRead
+  int delay = 1;                ///< >= 1: steps between the match and the kill
+  int occurrence = 1;           ///< >= 1: fire on the k-th match
+
+  friend bool operator==(const CrashTrigger&, const CrashTrigger&) = default;
+};
+
+/// The faults one drive injects. A tape's are {crashes, linkfaults}; a
+/// FaultPlan's are its storm, its resolved link actions and its triggers.
+/// Neither list need be sorted.
+struct Faults {
+  std::vector<CrashPoint> crashes{};     ///< step-indexed S-kills
+  std::vector<LinkFaultPoint> links{};   ///< step-indexed link charges
+  std::vector<CrashTrigger> triggers{};  ///< online kills (matching reads the trace)
+};
+
 struct DriveResult {
   std::int64_t steps = 0;       ///< scheduled (possibly null) steps attempted
   bool all_c_decided = false;   ///< stop cause: every C-process decided
   bool exhausted = false;       ///< stop cause: scheduler returned nullopt
   bool budget_exhausted = false;  ///< stop cause: max_steps hit first
+  /// Crash points actually applied (crash points and trigger kills that hit
+  /// a live process), at their application step index and in that order:
+  /// fed back as Faults::crashes they replay the run exactly. applied_at[i]
+  /// is the model TIME of applied[i]'s injection, so an equivalent
+  /// FailurePattern (crash_time = applied_at) can be built — the campaign
+  /// uses it to recompute honest advice over the EFFECTIVE pattern.
+  std::vector<CrashPoint> applied;
+  std::vector<Time> applied_at;
+  /// Link charges actually applied, at their application step index:
+  /// tape-ready for ScheduleTape::linkfaults.
+  std::vector<LinkFaultPoint> applied_links;
+  /// Points the world could not take — a crash of an S-process it does not
+  /// have, a charge against a link it lacks — reported apart and otherwise
+  /// ignored. (A crash of an already-crashed process is neither applied nor
+  /// skipped: crashes are permanent, so it is a no-op.)
+  std::vector<CrashPoint> skipped;
+  std::vector<LinkFaultPoint> skipped_links;
+  int triggers_fired = 0;
 };
 
 /// Runs `w` under `sched` until all C-processes decide, the scheduler is
@@ -245,6 +312,14 @@ struct DriveResult {
 /// flag is set, checked in that priority order — in particular a world with
 /// NO C-processes (reduction harnesses) reports budget_exhausted, never the
 /// vacuous all_c_decided the pre-telemetry drive returned.
-DriveResult drive(World& w, Scheduler& sched, std::int64_t max_steps);
+///
+/// Immediately before attempting step index i (= steps so far) the drive
+/// applies, in this order, every crash point with step_index <= i (via
+/// World::inject_crash), every link charge with step_index <= i (via
+/// Substrate::apply_link_fault), and every trigger kill armed for i. A
+/// trigger's k-th matching S-step at index m arms a kill of that process at
+/// m + delay. Triggers enable tracing (matching reads the trace).
+DriveResult drive(World& w, Scheduler& sched, std::int64_t max_steps,
+                  const Faults& faults = {});
 
 }  // namespace efd

@@ -1,12 +1,16 @@
 // Tests for the persistent finding corpus (core/corpus.hpp) and the farm
 // engine built on it (core/campaign.hpp run_farm): content keys, atomic
 // novel-vs-duplicate classification across reopen, alias persistence,
-// quarantine of malformed entries, and restart-with-corpus resume.
+// quarantine of malformed entries, restart-with-corpus resume, and the count
+// of external submissions dropped for naming no target.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/campaign.hpp"
 #include "core/corpus.hpp"
@@ -275,6 +279,35 @@ TEST(Farm, OneShotAndFarmAgreeOnPlanVerdicts) {
   EXPECT_EQ(farm.clean, shot.clean_plans);
   EXPECT_EQ(farm.violations, static_cast<std::int64_t>(shot.violations.size()));
   EXPECT_EQ(farm.total_steps, shot.total_steps);
+}
+
+/// Hands out a fixed list of submissions, then reports an empty queue.
+class QueueSource final : public PlanSource {
+ public:
+  explicit QueueSource(std::vector<std::pair<std::string, FaultPlan>> q) : q_(std::move(q)) {}
+  std::optional<std::pair<std::string, FaultPlan>> poll() override {
+    if (next_ >= q_.size()) return std::nullopt;
+    return q_[next_++];
+  }
+
+ private:
+  std::vector<std::pair<std::string, FaultPlan>> q_;
+  std::size_t next_ = 0;
+};
+
+TEST(Farm, SubmissionsNamingNoTargetAreCountedAndDropped) {
+  std::vector<const CampaignTarget*> targets = {find_campaign_target("synth")};
+  ASSERT_NE(targets[0], nullptr);
+  QueueSource source({{"no_such_target", FaultPlan{}}, {"synth", FaultPlan{}}});
+  FarmOptions o = small_farm("");
+  o.source = &source;
+  const FarmStats r = run_farm(targets, o);
+  EXPECT_EQ(r.dropped_submissions, 1);
+  EXPECT_EQ(r.external, 1) << "the known target's submission must still run";
+  EXPECT_EQ(r.plans, o.max_plans);
+  const telemetry::Json doc = farm_json(r, o, "final");
+  ASSERT_NE(doc.find("dropped_submissions"), nullptr);
+  EXPECT_EQ(doc.find("dropped_submissions")->as_int(), 1);
 }
 
 TEST(Farm, StopFlagDrainsGracefully) {

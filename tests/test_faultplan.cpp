@@ -1,6 +1,6 @@
 // Tests for fault plans (sim/faultplan.hpp): serialization round-trips,
 // deterministic sampling inside the target space, burst suppression, and
-// online trigger/storm resolution in drive_with_plan.
+// online trigger/storm resolution in drive under a plan's faults().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -198,7 +198,7 @@ TEST(BurstScheduler, YieldsWhenInnerInsists) {
   }
 }
 
-TEST(DriveWithPlan, StormCrashesAtItsStepIndex) {
+TEST(DrivePlanFaults, StormCrashesAtItsStepIndex) {
   FailurePattern base(2);
   World w(base, TrivialFd{}.history(base, 0));
   w.spawn_s(0, s_writer);
@@ -206,8 +206,8 @@ TEST(DriveWithPlan, StormCrashesAtItsStepIndex) {
   RoundRobinScheduler rr;
   FaultPlan plan;
   plan.storm.push_back(CrashPoint{4, 0});
-  const PlanDriveResult r = drive_with_plan(w, rr, 20, plan);
-  EXPECT_TRUE(r.drive.budget_exhausted);
+  const DriveResult r = drive(w, rr, 20, plan.faults());
+  EXPECT_TRUE(r.budget_exhausted);
   ASSERT_EQ(r.applied.size(), 1U);
   EXPECT_EQ(r.applied[0], (CrashPoint{4, 0}));
   ASSERT_EQ(r.applied_at.size(), 1U);
@@ -215,7 +215,7 @@ TEST(DriveWithPlan, StormCrashesAtItsStepIndex) {
   EXPECT_TRUE(w.alive(spid(1)));
 }
 
-TEST(DriveWithPlan, TriggerKillsMatchingWriterAfterDelay) {
+TEST(DrivePlanFaults, TriggerKillsMatchingWriterAfterDelay) {
   FailurePattern base(2);
   World w(base, TrivialFd{}.history(base, 0));
   w.spawn_s(0, s_writer);  // writes acc/X every other step
@@ -223,7 +223,7 @@ TEST(DriveWithPlan, TriggerKillsMatchingWriterAfterDelay) {
   RoundRobinScheduler rr;
   FaultPlan plan;
   plan.triggers.push_back(CrashTrigger{"acc/", OpKind::kWrite, 2, 2});
-  const PlanDriveResult r = drive_with_plan(w, rr, 40, plan);
+  const DriveResult r = drive(w, rr, 40, plan.faults());
   EXPECT_EQ(r.triggers_fired, 1);
   ASSERT_EQ(r.applied.size(), 1U);
   EXPECT_EQ(r.applied[0].s_index, 0);
@@ -236,9 +236,9 @@ TEST(DriveWithPlan, TriggerKillsMatchingWriterAfterDelay) {
   EXPECT_LE(r.applied[0].step_index, 7);
 }
 
-TEST(DriveWithPlan, AppliedPointsReplayIdentically) {
-  // The applied crash points must reproduce the exact same run when fed to
-  // drive_with_crashes — that is what makes campaign tapes self-contained.
+TEST(DrivePlanFaults, AppliedPointsReplayIdentically) {
+  // The applied crash points must reproduce the exact same run when fed back
+  // as plain crash points — that is what makes campaign tapes self-contained.
   FaultPlan plan;
   plan.triggers.push_back(CrashTrigger{"acc/", OpKind::kWrite, 1, 1});
   plan.storm.push_back(CrashPoint{9, 1});
@@ -249,16 +249,16 @@ TEST(DriveWithPlan, AppliedPointsReplayIdentically) {
   w1.spawn_s(1, spin);
   w1.enable_trace();
   RoundRobinScheduler rr1;
-  const PlanDriveResult r1 = drive_with_plan(w1, rr1, 30, plan);
+  const DriveResult r1 = drive(w1, rr1, 30, plan.faults());
 
   World w2(base, TrivialFd{}.history(base, 0));
   w2.spawn_s(0, s_writer);
   w2.spawn_s(1, spin);
   w2.enable_trace();
   RoundRobinScheduler rr2;
-  const DriveResult r2 = drive_with_crashes(w2, rr2, 30, r1.applied);
+  const DriveResult r2 = drive(w2, rr2, 30, Faults{.crashes = r1.applied});
 
-  EXPECT_EQ(r1.drive.steps, r2.steps);
+  EXPECT_EQ(r1.steps, r2.steps);
   EXPECT_EQ(trace_hash(w1.trace()), trace_hash(w2.trace()));
 }
 

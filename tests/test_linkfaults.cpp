@@ -370,20 +370,14 @@ TEST(LinkFaultReplay, SingleActionFaultMixRecordsAndReplays) {
                                       /*amount=*/kind == LinkFaultKind::kSever ? 6 : 2});
 
       World w = sc->make_world(base, TrivialFd{}.history(base, 0));
-      w.enable_trace();
       RandomScheduler inner(seed);
-      RecordingScheduler rec(inner);
-      const PlanDriveResult pdr = drive_with_plan(w, rec, 30000, plan);
+      ScheduleTape tape = record_tape(sc->name, w, inner, 30000, plan.faults());
       EXPECT_FALSE(sc->violated(w)) << "hardened FloodMin must stay safe under any single fault";
-
-      ScheduleTape tape = ScheduleTape::capture(sc->name, base, rec.steps(), pdr.applied,
-                                                w.trace());
-      tape.linkfaults = pdr.applied_links;
+      EXPECT_EQ(tape.substrate, "msg");
       tape.plan = plan.to_string();
-      tape.substrate = "msg";
       tape.expect_violated = false;
       if (kind == LinkFaultKind::kSever) {
-        // drive_with_plan resolves a sever into a sever/heal pair.
+        // The plan resolves a sever into a sever/heal pair.
         ASSERT_EQ(tape.linkfaults.size(), 2u);
         EXPECT_EQ(tape.linkfaults[1].kind, LinkFaultKind::kHeal);
       }
@@ -394,6 +388,55 @@ TEST(LinkFaultReplay, SingleActionFaultMixRecordsAndReplays) {
       EXPECT_FALSE(out.violated);
     }
   }
+}
+
+// ---- the tape/plan boundary: a link the world lacks -----------------------
+
+TEST(LinkFaultReplay, TapeNamingAnAbsentLinkIsRejected) {
+  // A tape is a recorded run, so a fault it cannot re-apply makes it a
+  // broken artifact: replay refuses it instead of replaying a different run.
+  // ch[5][5] lies outside the 3-process FloodMin grid; a register world has
+  // no links at all.
+  const auto rejects = [](const char* scenario, const char* link) {
+    SCOPED_TRACE(std::string(scenario) + " " + link);
+    const Scenario* sc = find_scenario(scenario);
+    ASSERT_NE(sc, nullptr);
+    ScheduleTape tape = sc->record(1);
+    tape.linkfaults = {LinkFaultPoint{0, link, LinkFaultKind::kDrop, 1}};
+    World w = sc->make_world(tape.pattern(), tape.history());
+    EXPECT_THROW((void)replay_tape(w, tape), std::exception);
+  };
+  rejects("mp_floodmin_lossy_raw", "ch[5][5]");
+  rejects("synth_write_race", "ch[0][1]");
+}
+
+TEST(LinkFaultReplay, PlanSkipsAnAbsentLink) {
+  // A plan may be wider than its world: the same absent link is skipped,
+  // nothing is recorded, and the run equals the fault-free one.
+  const Scenario* sc = find_scenario("mp_floodmin_lossy_raw");
+  ASSERT_NE(sc, nullptr);
+  const FailurePattern base(kN * kN);
+  FaultPlan plan;
+  plan.links.push_back(LinkAction{LinkFaultKind::kDrop, 0, 5, 5, 2});
+
+  World w = sc->make_world(base, TrivialFd{}.history(base, 0));
+  w.enable_trace();
+  RandomScheduler rs(1);
+  const DriveResult r = drive(w, rs, 4000, plan.faults());
+  EXPECT_TRUE(r.applied_links.empty());
+  ASSERT_EQ(r.skipped_links.size(), 1u);
+  EXPECT_EQ(r.skipped_links[0].link, "ch[5][5]");
+
+  World clean = sc->make_world(base, TrivialFd{}.history(base, 0));
+  clean.enable_trace();
+  RandomScheduler rs2(1);
+  const DriveResult rc = drive(clean, rs2, 4000);
+  EXPECT_EQ(r.steps, rc.steps);
+  EXPECT_EQ(trace_hash(w.trace()), trace_hash(clean.trace()));
+
+  World rw = sc->make_world(base, TrivialFd{}.history(base, 0));
+  RandomScheduler rs3(1);
+  EXPECT_TRUE(record_tape(sc->name, rw, rs3, 4000, plan.faults()).linkfaults.empty());
 }
 
 TEST(LinkFaultReplay, MalformedLinkfaultsLinesAreParseErrors) {

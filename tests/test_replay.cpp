@@ -153,7 +153,7 @@ TEST(CrashPoints, KillAtExactStepIndex) {
   w.spawn_s(0, spin);
   w.spawn_s(1, spin);
   ExplicitSchedule sched(std::vector<Pid>(10, spid(0)));
-  const auto r = drive_with_crashes(w, sched, 100, {{4, 0}});
+  const auto r = drive(w, sched, 100, Faults{.crashes = {CrashPoint{4, 0}}});
   // q1 stepped 4 times, then crashed: the remaining 6 scheduled steps are
   // refused (no time advance), so the drive still attempts all 10.
   EXPECT_EQ(w.steps_taken(spid(0)), 4);
@@ -173,15 +173,38 @@ TEST(CrashPoints, InjectionNeverRevives) {
   // Injecting at step 5 targets a process already dead since t=2: a no-op,
   // not a revival (alive uses t < crash_time; overwriting with a later time
   // would resurrect it for the interim).
-  drive_with_crashes(w, sched, 100, {{5, 0}});
+  const auto r = drive(w, sched, 100, Faults{.crashes = {CrashPoint{5, 0}}});
   EXPECT_EQ(w.steps_taken(spid(0)), 2);
   EXPECT_EQ(w.run_stats().injected_crashes, 0);
+  // Neither applied nor skipped: q1 exists, it is just already down.
+  EXPECT_TRUE(r.applied.empty());
+  EXPECT_TRUE(r.skipped.empty());
 }
 
 TEST(CrashPoints, OutOfRangeIndexThrows) {
   World w = World::failure_free(1);
   EXPECT_THROW(w.inject_crash(3), std::out_of_range);
   EXPECT_THROW(w.inject_crash(-1), std::out_of_range);
+}
+
+TEST(CrashPoints, PointOutsideTheWorldIsSkippedByTheDriveAndRefusedByReplay) {
+  // The drive skips a crash of an S-process the world does not have and
+  // reports it apart; a tape carrying one does not describe a run of its
+  // world, so replay refuses it.
+  const Scenario* sc = find_scenario("synth_write_race");
+  ASSERT_NE(sc, nullptr);
+  ScheduleTape tape = sc->record(1);
+  tape.crashes = {CrashPoint{0, 7}};
+
+  World w = sc->make_world(tape.pattern(), tape.history());
+  ReplayScheduler rs(tape);
+  const DriveResult r = drive(w, rs, 100, tape.faults());
+  EXPECT_TRUE(r.applied.empty());
+  ASSERT_EQ(r.skipped.size(), 1u);
+  EXPECT_EQ(r.skipped[0], (CrashPoint{0, 7}));
+
+  World fresh = sc->make_world(tape.pattern(), tape.history());
+  EXPECT_THROW((void)replay_tape(fresh, tape), TapeError);
 }
 
 // ---- record -> replay identity --------------------------------------------

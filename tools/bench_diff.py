@@ -191,9 +191,10 @@ def validate_farm_doc(path, doc):
         check(isinstance(doc.get(key), int) and doc[key] >= 0,
               f"{key} must be a non-negative integer")
     # Added after the schema's first release: absent in older records.
-    if "pool_steals" in doc:
-        check(isinstance(doc["pool_steals"], int) and doc["pool_steals"] >= 0,
-              "pool_steals must be a non-negative integer")
+    for key in ("pool_steals", "dropped_submissions"):
+        if key in doc:
+            check(isinstance(doc[key], int) and doc[key] >= 0,
+                  f"{key} must be a non-negative integer")
     check(doc["novel"] + doc["duplicates"] <= doc["violations"],
           "novel + duplicates exceeds violations")
     check(doc["clean"] + doc["violations"] == doc["plans"],

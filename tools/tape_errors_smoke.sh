@@ -1,15 +1,18 @@
 #!/usr/bin/env sh
-# Malformed-tape triage contract: every fixture in tests/corpus/malformed/
-# must fail `efd_repro replay` with the DOCUMENTED exit code (3 = parse,
-# 4 = IO, 5 = unknown scenario) and a one-line diagnostic on stderr —
-# scripted triage sorts tapes by these codes, so they are part of the CLI's
-# stable interface (see the exit-code table in efd_repro.cpp).
+# Bad-tape triage contract: every fixture in tests/corpus/malformed/ must
+# fail `efd_repro replay` with the DOCUMENTED exit code (3 = parse, 4 = IO,
+# 5 = unknown scenario), and every fixture in tests/corpus/rejected/ (tapes
+# that parse but name a fault their world cannot take, such as an absent
+# link) with 6 — each with a one-line diagnostic on stderr. Scripted triage
+# sorts tapes by these codes, so they are part of the CLI's stable interface
+# (see the exit-code table in efd_repro.cpp).
 #
-# usage: tape_errors_smoke.sh <efd_repro-binary> <malformed-corpus-dir>
+# usage: tape_errors_smoke.sh <efd_repro-binary> <malformed-corpus-dir> <rejected-corpus-dir>
 set -u
 
 repro="$1"
 dir="$2"
+rejected="$3"
 fail=0
 
 expect_code() {
@@ -44,6 +47,10 @@ for tape in "$dir"/*.tape; do
 done
 
 expect_code "$dir/does-not-exist.tape.missing" 4
+
+for tape in "$rejected"/*.tape; do
+  expect_code "$tape" 6
+done
 
 # `print` must fail identically: the parse happens before any replay.
 "$repro" print "$dir/truncated.tape" >/dev/null 2>&1

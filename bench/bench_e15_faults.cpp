@@ -18,6 +18,7 @@
 #include "bench_common.hpp"
 
 #include <chrono>
+#include <cinttypes>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -27,55 +28,59 @@ EFD_BENCH_JSON("E15")
 namespace efd {
 namespace {
 
-/// One campaign sweep over a built-in target: N seeded plans, monitors on,
-/// shrinking on (a no-op for clean targets, the real shrink+verify cost for
-/// buggy ones), no tape saving (pure compute).
-void run_campaign_bench(benchmark::State& state, const char* target_name, int plans,
+/// One campaign sweep over a built-in target: a bounded run_farm call with
+/// N seeded plans (mutation off, so exactly plan indices 0..N-1), monitors
+/// on, shrinking on (a no-op for clean targets, the real shrink+verify cost
+/// for buggy ones), in-memory corpus (pure compute). One worker keeps plans/s
+/// a sequential-sweep figure, comparable across the E15 history.
+void run_sweep_bench(benchmark::State& state, const char* target_name, int plans,
                         const char* json_name) {
   const CampaignTarget* target = find_campaign_target(target_name);
   if (target == nullptr) {
     state.SkipWithError("unknown campaign target");
     return;
   }
-  CampaignOptions opts;
+  FarmOptions opts;
   opts.seed = 42;
-  opts.plans = plans;
+  opts.workers = 1;
+  opts.max_plans = plans;
   opts.monitors = true;
   opts.shrink = true;
-  opts.save_dir = "";
+  opts.mutate = false;
   std::int64_t plans_total = 0;
   std::int64_t steps_total = 0;
-  CampaignRun last;
+  FarmStats last;
   for (auto _ : state) {
-    last = run_campaign(*target, opts);
+    last = run_farm({target}, opts);
     plans_total += last.plans;
-    steps_total += last.total_steps + last.rehearsal_steps;
+    steps_total += last.total_steps;
   }
+  const bool ok = campaign_verdict_ok(last);
   state.counters["plans"] = static_cast<double>(plans_total);
   state.counters["plans/s"] =
       benchmark::Counter(static_cast<double>(plans_total), benchmark::Counter::kIsRate);
   state.counters["steps/s"] =
       benchmark::Counter(static_cast<double>(steps_total), benchmark::Counter::kIsRate);
-  state.counters["violations"] = static_cast<double>(last.violations.size());
-  state.counters["verdict_ok"] = last.verdict_ok() ? 1 : 0;
+  state.counters["violations"] = static_cast<double>(last.violations);
+  state.counters["verdict_ok"] = ok ? 1 : 0;
   bench::json_run(state, json_name);
-  bench::row("%-18s | %7d plans | %4zu violations | verdict=%s", target_name, last.plans,
-             last.violations.size(), last.verdict_ok() ? "ok" : "FAILED");
+  bench::row("%-18s | %7" PRId64 " plans | %4" PRId64 " violations | verdict=%s", target_name,
+             last.plans, last.violations, ok ? "ok" : "FAILED");
 }
 
 void E15_CampaignCons(benchmark::State& state) {
   bench::table_header("E15: campaign sweep throughput (seed 42, monitors+shrink on)",
                       "target             |   plans swept |     violations | verdict");
-  run_campaign_bench(state, "cons", 32, "E15_CampaignCons");
+  run_sweep_bench(state, "cons", 32, "E15_CampaignCons");
 }
 
 void E15_CampaignRen(benchmark::State& state) {
-  run_campaign_bench(state, "ren", 32, "E15_CampaignRen");
+  run_sweep_bench(state, "ren", 32, "E15_CampaignRen");
 }
 
 void E15_CampaignBuggyRenaming(benchmark::State& state) {
   // Dominated by shrink + double-replay: nearly every plan violates.
-  run_campaign_bench(state, "brn", 32, "E15_CampaignBuggyRenaming");
+  run_sweep_bench(state, "brn", 32, "E15_CampaignBuggyRenaming");
 }
 
 /// A/B for the monitor tax: drive the consensus scenario to completion with

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <deque>
-#include <filesystem>
 #include <stdexcept>
-#include <system_error>
 #include <unordered_set>
 
 #include "core/repro_scenarios.hpp"
@@ -34,12 +31,6 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
-std::string hex16(std::uint64_t x) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(x));
-  return buf;
-}
-
 /// Coarse AFL-style coverage signature of one run: a 64-bit presence map of
 /// the (process, op, register) triples the run exercised, mixed with the
 /// decision count. Interleaving- and step-count-insensitive, so thousands of
@@ -64,18 +55,6 @@ std::uint64_t trace_coverage_sig(const Trace& tr) {
     if (op == OpKind::kDecide) ++decisions;
   }
   return map ^ (0x632BE59BD9B4E019ULL * static_cast<std::uint64_t>(decisions + 1));
-}
-
-/// Hoisted, checked ONCE per run (the old code re-ran create_directories
-/// inside the per-plan violation loop and ignored its failure — on a
-/// read-only directory every tape silently vanished).
-void require_writable_dir(const std::string& dir) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec || !std::filesystem::is_directory(dir)) {
-    throw CorpusIoError("campaign: cannot create save dir " + dir +
-                        (ec ? ": " + ec.message() : ""));
-  }
 }
 
 std::function<std::unique_ptr<Scheduler>(std::uint64_t)> random_sched() {
@@ -341,23 +320,6 @@ const CampaignTarget* find_campaign_target(const std::string& name) {
   return nullptr;
 }
 
-int CampaignRun::safety_violations() const {
-  return static_cast<int>(std::count_if(violations.begin(), violations.end(),
-                                        [](const CampaignViolation& v) { return v.safety; }));
-}
-
-int CampaignRun::wait_free_violations() const {
-  return static_cast<int>(std::count_if(violations.begin(), violations.end(),
-                                        [](const CampaignViolation& v) { return v.wait_free; }));
-}
-
-bool CampaignRun::verdict_ok() const {
-  if (expect_clean) return violations.empty();
-  return std::any_of(violations.begin(), violations.end(), [](const CampaignViolation& v) {
-    return v.safety && (v.shrunk_steps == 0 || v.shrunk_replay_ok);
-  });
-}
-
 std::uint64_t campaign_plan_seed(std::uint64_t campaign_seed, const std::string& target,
                                  int index) {
   // The target-name fold decorrelates plan sequences across targets: the old
@@ -525,75 +487,39 @@ ShrunkFinding shrink_finding(const std::string& scenario, const ScheduleTape& ta
   return out;
 }
 
-CampaignRun run_campaign(const CampaignTarget& target, const CampaignOptions& opts) {
-  if (find_scenario(target.scenario) == nullptr) {
-    throw std::invalid_argument("run_campaign: unknown scenario " + target.scenario);
+std::optional<Submission> parse_submission(const std::string& line) {
+  if (line.empty() || line[0] == '#') return std::nullopt;
+  const auto sp = line.find(' ');
+  if (sp == std::string::npos) {
+    throw std::invalid_argument("queue line without plan text: " + line);
   }
-  if (!opts.save_dir.empty()) require_writable_dir(opts.save_dir);
+  return Submission{line.substr(0, sp), FaultPlan::parse(line.substr(sp + 1))};
+}
 
-  CampaignRun run;
-  run.target = target.name;
-  run.scenario = target.scenario;
-  run.algorithm = target.algorithm;
-  run.expect_clean = target.expect_clean;
-  run.plans = opts.plans;
-
-  for (int i = 0; i < opts.plans; ++i) {
-    const std::uint64_t plan_seed = campaign_plan_seed(opts.seed, target.name, i);
-    const FaultPlan plan = FaultPlan::sample(plan_seed, target.space);
-    if (plan.fd.kind != FdFaultKind::kNone) ++run.plans_with_fd_fault;
-    if (!plan.storm.empty()) ++run.plans_with_storm;
-    if (!plan.triggers.empty()) ++run.plans_with_trigger;
-    if (!plan.bursts.empty()) ++run.plans_with_burst;
-    if (!plan.links.empty()) ++run.plans_with_link;
-
-    PlanOutcome out = run_plan(target, plan, plan_seed, opts.monitors);
-    run.total_steps += out.steps;
-    run.rehearsal_steps += out.rehearsal_steps;
-    run.monitored_steps += out.monitored_steps;
-    run.max_own_steps_to_decide =
-        std::max(run.max_own_steps_to_decide, out.max_own_steps_to_decide);
-    run.starvation_observations += out.starvation_observations;
-
-    if (!out.violated()) {
-      ++run.clean_plans;
-      continue;
-    }
-
-    CampaignViolation viol;
-    viol.target = target.name;
-    viol.plan_seed = plan_seed;
-    viol.plan = out.tape.plan;
-    viol.safety = out.safety;
-    viol.wait_free = out.wait_free_bad;
-    viol.detail = out.detail;
-    viol.tape_steps = static_cast<std::int64_t>(out.tape.steps.size());
-
-    std::string stem;
-    if (!opts.save_dir.empty()) {
-      // Collision-proof stem: campaign seed + plan seed + the tape's own
-      // trace hash. Two campaigns sharing a save_dir can no longer silently
-      // overwrite each other's findings.
-      stem = opts.save_dir + "/" + target.name + "_s" + std::to_string(opts.seed) + "_" +
-             std::to_string(plan_seed) + "_" + hex16(out.tape.expect_hash.value_or(0));
-      save_tape(out.tape, stem + ".tape");
-      viol.tape_path = stem + ".tape";
-    }
-
-    // Auto-shrink safety violations (the ddmin oracle is the scenario
-    // predicate; wait-freedom-only findings have no tape-level oracle).
-    if (opts.shrink && out.safety) {
-      const ShrunkFinding sf = shrink_finding(target.scenario, out.tape);
-      viol.shrunk_steps = static_cast<std::int64_t>(sf.mini.steps.size());
-      viol.shrunk_replay_ok = sf.replay_ok;
-      if (!stem.empty()) save_tape(sf.mini, stem + ".min.tape");
-    }
-    run.violations.push_back(std::move(viol));
-  }
-  return run;
+bool campaign_verdict_ok(const FarmStats& stats) {
+  return stats.shrink_replays_ok == stats.shrunk &&
+         std::all_of(stats.targets.begin(), stats.targets.end(),
+                     [](const FarmTargetStats& t) { return t.verdict_ok(); });
 }
 
 namespace {
+
+/// Fills the FarmStats totals from its per-target rows.
+void sum_target_rows(FarmStats& stats) {
+  stats.plans = stats.clean = stats.novel = stats.duplicates = 0;
+  stats.mutated = stats.external = stats.coverage_sigs = stats.total_steps = 0;
+  for (const FarmTargetStats& t : stats.targets) {
+    stats.plans += t.plans;
+    stats.clean += t.clean;
+    stats.novel += t.novel;
+    stats.duplicates += t.duplicates;
+    stats.mutated += t.mutated;
+    stats.external += t.external;
+    stats.coverage_sigs += t.coverage_sigs;
+    stats.total_steps += t.total_steps;
+  }
+  stats.violations = stats.plans - stats.clean;
+}
 
 /// Per-target farm state, advanced only by the (sequential) dispatcher.
 struct TargetState {
@@ -665,17 +591,19 @@ FarmStats run_farm(const std::vector<const CampaignTarget*>& targets, const Farm
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   };
   double next_soak = opts.soak_interval_s;
-  std::size_t rr = 0;  ///< round-robin cursor over targets
+  std::size_t rr = 0;           ///< round-robin cursor over targets
+  std::int64_t dispatched = 0;  ///< plans handed to the pool so far
 
-  const auto emit_soak = [&](const std::string& mode) {
-    if (!opts.on_soak) return;
+  // `stats` itself carries only the run-wide counters; outcomes are counted
+  // once, in the per-target rows, and summed into every record handed out.
+  const auto snapshot = [&] {
     FarmStats snap = stats;
     snap.elapsed_s = elapsed();
     snap.corpus_size = corpus.size();
     snap.corpus_aliases = corpus.alias_count();
-    snap.targets.clear();
     for (const auto& s : states) snap.targets.push_back(s.stats);
-    opts.on_soak(farm_json(snap, opts, mode));
+    sum_target_rows(snap);
+    return snap;
   };
 
   for (;;) {
@@ -686,7 +614,7 @@ FarmStats run_farm(const std::vector<const CampaignTarget*>& targets, const Farm
       break;
     }
     if (opts.duration_s > 0 && elapsed() >= opts.duration_s) break;
-    if (opts.max_plans > 0 && stats.plans >= opts.max_plans) break;
+    if (opts.max_plans > 0 && dispatched >= opts.max_plans) break;
 
     // Phase 1 (sequential): build the batch. External submissions first,
     // then round-robin seeded/mutated plans. All nondeterminism is derived
@@ -694,16 +622,24 @@ FarmStats run_farm(const std::vector<const CampaignTarget*>& targets, const Farm
     // source replays the exact same plan stream.
     const int want = opts.max_plans > 0
                          ? static_cast<int>(std::min<std::int64_t>(
-                               opts.batch, opts.max_plans - stats.plans))
+                               opts.batch, opts.max_plans - dispatched))
                          : opts.batch;
     std::vector<Slot> batch;
     batch.reserve(static_cast<std::size_t>(want));
     while (opts.source != nullptr && static_cast<int>(batch.size()) < want) {
-      auto sub = opts.source->poll();
-      if (!sub) break;
+      const std::optional<std::string> line = opts.source->poll();
+      if (!line) break;
+      std::optional<Submission> sub;
+      try {
+        sub = parse_submission(*line);
+      } catch (const std::invalid_argument&) {  // no plan text, or a malformed plan
+        ++stats.dropped_submissions;
+        continue;
+      }
+      if (!sub) continue;  // blank or comment line
       int ti = -1;
       for (std::size_t t = 0; t < states.size(); ++t) {
-        if (states[t].target->name == sub->first) { ti = static_cast<int>(t); break; }
+        if (states[t].target->name == sub->target) { ti = static_cast<int>(t); break; }
       }
       if (ti < 0) {  // unknown target name: drop the submission, counted
         ++stats.dropped_submissions;
@@ -711,7 +647,7 @@ FarmStats run_farm(const std::vector<const CampaignTarget*>& targets, const Farm
       }
       Slot s;
       s.target = ti;
-      s.plan = std::move(sub->second);
+      s.plan = std::move(sub->plan);
       s.plan_seed = campaign_plan_seed(opts.seed ^ 0xE7F4A5C3D2B1906FULL,
                                        states[static_cast<std::size_t>(ti)].target->name,
                                        states[static_cast<std::size_t>(ti)].external_index++);
@@ -743,10 +679,11 @@ FarmStats run_farm(const std::vector<const CampaignTarget*>& targets, const Farm
       batch.push_back(std::move(s));
     }
     if (batch.empty()) break;
+    dispatched += static_cast<std::int64_t>(batch.size());
 
     // Phase 2 (parallel): run the batch on the work-stealing pool. run_plan
-    // is pure in its arguments, so verdicts are byte-identical to the
-    // one-shot runner's regardless of worker count or steal order.
+    // is pure in its arguments, so verdicts are byte-identical to a
+    // sequential run_plan loop regardless of worker count or steal order.
     std::vector<std::function<void()>> tasks;
     tasks.reserve(batch.size());
     for (auto& s : batch) {
@@ -792,30 +729,27 @@ FarmStats run_farm(const std::vector<const CampaignTarget*>& targets, const Farm
     // classification.
     for (auto& s : batch) {
       TargetState& ts = states[static_cast<std::size_t>(s.target)];
-      ++stats.plans;
-      ++ts.stats.plans;
-      stats.total_steps += s.out.steps;
-      ts.stats.total_steps += s.out.steps;
-      ts.stats.starvation_observations += s.out.starvation_observations;
-      if (s.mutated) { ++stats.mutated; ++ts.stats.mutated; }
-      if (s.external) { ++stats.external; ++ts.stats.external; }
+      FarmTargetStats& row = ts.stats;
+      ++row.plans;
+      row.total_steps += s.out.steps;
+      row.starvation_observations += s.out.starvation_observations;
+      row.max_own_steps_to_decide =
+          std::max(row.max_own_steps_to_decide, s.out.max_own_steps_to_decide);
+      if (s.mutated) ++row.mutated;
+      if (s.external) ++row.external;
       if (ts.sigs.insert(s.out.coverage_sig).second) {
-        ++stats.coverage_sigs;
-        ++ts.stats.coverage_sigs;
+        ++row.coverage_sigs;
         if (opts.mutate) ts.remember(s.plan);
       }
       if (!s.out.violated()) {
-        ++stats.clean;
-        ++ts.stats.clean;
+        ++row.clean;
         continue;
       }
-      ++stats.violations;
-      if (s.out.safety) ++ts.stats.safety_violations;
-      if (s.out.wait_free_bad) ++ts.stats.wait_free_violations;
+      if (s.out.safety) ++row.safety_violations;
+      if (s.out.wait_free_bad) ++row.wait_free_violations;
 
       if (corpus.contains(s.raw_key)) {
-        ++stats.duplicates;
-        ++ts.stats.duplicates;
+        ++row.duplicates;
         continue;
       }
       const std::string stem =
@@ -828,8 +762,7 @@ FarmStats run_farm(const std::vector<const CampaignTarget*>& targets, const Farm
         if (corpus.contains(mini_key)) {
           // A different plan shrank onto a known minimal tape: duplicate.
           // The raw alias makes the NEXT exact rediscovery skip the shrink.
-          ++stats.duplicates;
-          ++ts.stats.duplicates;
+          ++row.duplicates;
           corpus.add_alias(s.raw_key, mini_key);
           continue;
         }
@@ -838,29 +771,24 @@ FarmStats run_farm(const std::vector<const CampaignTarget*>& targets, const Farm
       } else if (opts.shrink && s.out.safety) {
         // An earlier slot of this batch claimed the same raw key and shrank
         // it; that slot's corpus decision already covers this finding.
-        ++stats.duplicates;
-        ++ts.stats.duplicates;
+        ++row.duplicates;
         continue;
       } else {
         // Wait-freedom-only findings have no tape-level shrink oracle: the
         // raw tape is the canonical corpus entry.
         corpus.insert(s.raw_key, s.out.tape, stem);
       }
-      ++stats.novel;
-      ++ts.stats.novel;
+      ++row.novel;
     }
 
     if (opts.soak_interval_s > 0 && elapsed() >= next_soak) {
-      emit_soak("soak");
+      if (opts.on_soak) opts.on_soak(farm_json(snapshot(), opts, "soak"));
       next_soak = elapsed() + opts.soak_interval_s;
     }
   }
 
-  stats.elapsed_s = elapsed();
-  stats.corpus_size = corpus.size();
-  stats.corpus_aliases = corpus.alias_count();
-  for (const auto& s : states) stats.targets.push_back(s.stats);
-  emit_soak("final");
+  stats = snapshot();
+  if (opts.on_soak) opts.on_soak(farm_json(stats, opts, "final"));
   return stats;
 }
 
@@ -919,62 +847,8 @@ telemetry::Json farm_json(const FarmStats& stats, const FarmOptions& opts,
     e["mutated"] = Json(t.mutated);
     e["external"] = Json(t.external);
     e["total_steps"] = Json(t.total_steps);
+    e["max_own_steps_to_decide"] = Json(t.max_own_steps_to_decide);
     targets.push_back(std::move(e));
-  }
-  doc["targets"] = std::move(targets);
-  return doc;
-}
-
-telemetry::Json campaign_json(const std::vector<CampaignRun>& runs, const CampaignOptions& opts) {
-  using telemetry::Json;
-  Json doc = Json::object();
-  doc["schema"] = Json("efd-campaign-v1");
-  doc["experiment"] = Json("campaign");
-  doc["git"] = Json(telemetry::git_describe());
-  doc["seed"] = Json(static_cast<std::int64_t>(opts.seed));
-  doc["plans_per_target"] = Json(opts.plans);
-  doc["monitors"] = Json(opts.monitors);
-  Json targets = Json::array();
-  for (const auto& r : runs) {
-    Json t = Json::object();
-    t["target"] = Json(r.target);
-    t["scenario"] = Json(r.scenario);
-    t["algorithm"] = Json(r.algorithm);
-    t["expect_clean"] = Json(r.expect_clean);
-    t["verdict_ok"] = Json(r.verdict_ok());
-    t["plans"] = Json(r.plans);
-    t["clean_plans"] = Json(r.clean_plans);
-    t["violations"] = Json(static_cast<std::int64_t>(r.violations.size()));
-    t["safety_violations"] = Json(r.safety_violations());
-    t["wait_free_violations"] = Json(r.wait_free_violations());
-    t["starvation_observations"] = Json(r.starvation_observations);
-    Json mix = Json::object();
-    mix["fd_fault"] = Json(r.plans_with_fd_fault);
-    mix["storm"] = Json(r.plans_with_storm);
-    mix["trigger"] = Json(r.plans_with_trigger);
-    mix["burst"] = Json(r.plans_with_burst);
-    mix["link"] = Json(r.plans_with_link);
-    t["plan_mix"] = std::move(mix);
-    t["total_steps"] = Json(r.total_steps);
-    t["rehearsal_steps"] = Json(r.rehearsal_steps);
-    t["monitored_steps"] = Json(r.monitored_steps);
-    t["max_own_steps_to_decide"] = Json(r.max_own_steps_to_decide);
-    Json viols = Json::array();
-    for (const auto& v : r.violations) {
-      Json e = Json::object();
-      e["plan_seed"] = Json(static_cast<std::int64_t>(v.plan_seed));
-      e["plan"] = Json(v.plan);
-      e["safety"] = Json(v.safety);
-      e["wait_free"] = Json(v.wait_free);
-      e["detail"] = Json(v.detail);
-      e["tape_steps"] = Json(v.tape_steps);
-      e["shrunk_steps"] = Json(v.shrunk_steps);
-      e["shrunk_replay_ok"] = Json(v.shrunk_replay_ok);
-      e["tape"] = Json(v.tape_path);
-      viols.push_back(std::move(e));
-    }
-    t["violation_list"] = std::move(viols);
-    targets.push_back(std::move(t));
   }
   doc["targets"] = std::move(targets);
   return doc;

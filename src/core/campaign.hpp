@@ -20,12 +20,15 @@
 //     and burst lengths. record_tape (sim/replay.hpp) runs this drive;
 //  3. evaluates the scenario safety predicate + the monitor's wait-freedom
 //     certificate; violations keep the recorded run as a plain efd-tape-v1
-//     tape (FaultPlan text attached as the `plan` provenance line), saved under
-//     save_dir, ddmin-shrunk via the scenario predicate, and re-verified by
-//     bit-identical double replay of the shrunk tape.
+//     tape (FaultPlan text attached as the `plan` provenance line, the
+//     verdict as the `finding` line).
 //
-// Campaign runs are deterministic in (seed, plans): same inputs, same plans,
-// same verdicts, same tapes. Starvation watchdog hits are reported as
+// run_farm is the one runner over this unit: it classifies each finding
+// against a content-hashed CorpusStore (core/corpus.hpp), ddmin-shrinks only
+// novel safety findings via the scenario predicate, re-verifies them by
+// bit-identical double replay, and stores them. Runs are deterministic in
+// (seed, plan stream): same inputs, same plans, same verdicts, same tapes,
+// whatever the worker count. Starvation watchdog hits are reported as
 // schedule observations and never counted as algorithm violations.
 #pragma once
 
@@ -35,7 +38,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/corpus.hpp"
@@ -73,74 +75,14 @@ struct CampaignTarget {
 [[nodiscard]] const std::vector<CampaignTarget>& campaign_targets();
 [[nodiscard]] const CampaignTarget* find_campaign_target(const std::string& name);
 
-struct CampaignViolation {
-  std::string target;
-  std::uint64_t plan_seed = 0;
-  std::string plan;           ///< FaultPlan::to_string of the offending plan
-  bool safety = false;        ///< scenario predicate fired
-  bool wait_free = false;     ///< monitor wait-freedom bound broken
-  std::string detail;         ///< one-line human diagnosis
-  std::int64_t tape_steps = 0;
-  std::int64_t shrunk_steps = 0;   ///< 0 when shrinking was skipped
-  bool shrunk_replay_ok = false;   ///< shrunk tape double-replayed bit-identically
-  std::string tape_path;           ///< "" when save_dir was empty
-};
-
-struct CampaignOptions {
-  std::uint64_t seed = 42;
-  int plans = 100;          ///< plans per target
-  bool monitors = true;     ///< attach the LivenessMonitor
-  bool shrink = true;       ///< ddmin-shrink safety-violation tapes
-  std::string save_dir;     ///< violation tape directory; "" disables saving
-};
-
-/// One target's sweep outcome.
-struct CampaignRun {
-  std::string target;
-  std::string scenario;
-  std::string algorithm;
-  bool expect_clean = true;
-  int plans = 0;
-  int clean_plans = 0;
-  // Plan-mix counters (how many sampled plans contained each fault family).
-  int plans_with_fd_fault = 0;
-  int plans_with_storm = 0;
-  int plans_with_trigger = 0;
-  int plans_with_burst = 0;
-  int plans_with_link = 0;  ///< plans carrying link actions (drop/dup/delay/reorder/sever)
-  std::int64_t total_steps = 0;       ///< authoritative-drive steps
-  std::int64_t rehearsal_steps = 0;   ///< trigger/storm rehearsal steps
-  std::int64_t monitored_steps = 0;
-  std::int64_t max_own_steps_to_decide = 0;  ///< worst over all plans
-  std::int64_t starvation_observations = 0;  ///< watchdog hits (not violations)
-  std::vector<CampaignViolation> violations;
-
-  [[nodiscard]] int safety_violations() const;
-  [[nodiscard]] int wait_free_violations() const;
-  /// expect_clean targets must have zero violations; buggy targets at least
-  /// one safety violation with a verified shrunk tape.
-  [[nodiscard]] bool verdict_ok() const;
-};
-
-/// Sweeps `opts.plans` seeded fault plans against one target. Throws
-/// CorpusIoError when `opts.save_dir` cannot be created (checked ONCE, up
-/// front — tools map it to a distinct exit code; tapes must never vanish
-/// silently into an unwritable directory).
-[[nodiscard]] CampaignRun run_campaign(const CampaignTarget& target, const CampaignOptions& opts);
-
-/// The `efd-campaign-v1` document for a set of runs (schema in
-/// EXPERIMENTS.md E15; bench_diff.py --validate accepts it).
-[[nodiscard]] telemetry::Json campaign_json(const std::vector<CampaignRun>& runs,
-                                            const CampaignOptions& opts);
-
 // ---------------------------------------------------------------------------
-// Campaign farm: the resident, corpus-backed form of the sweep (DESIGN.md
-// 4g, EXPERIMENTS.md E18). run_farm streams plans from the seeded
-// generator / coverage-guided mutator / an external PlanSource, dispatches
-// them across workers as ResidentPool batches, dedups findings against a
-// persistent CorpusStore, and shrinks + double-replay-verifies only novel
-// findings. Verdicts for identical (plan_seed, plan) inputs are byte-
-// identical to the one-shot runner's: both run the same run_plan.
+// Campaign farm: the one campaign runner (DESIGN.md 4d/4g, EXPERIMENTS.md
+// E15/E18). run_farm streams plans from the seeded generator / coverage-
+// guided mutator / an external PlanSource, dispatches them across workers as
+// ResidentPool batches, dedups findings against a CorpusStore, and shrinks +
+// double-replay-verifies only novel findings. A bounded call with mutation
+// off and max_plans = plans x targets is the classic fixed sweep: round-robin
+// hands each target exactly plan indices 0..plans-1 (`efd_campaign run`).
 // ---------------------------------------------------------------------------
 
 /// Deterministic per-plan seed: folds the campaign seed, the TARGET NAME and
@@ -150,10 +92,10 @@ struct CampaignRun {
 [[nodiscard]] std::uint64_t campaign_plan_seed(std::uint64_t campaign_seed,
                                                const std::string& target, int index);
 
-/// One plan's verdict — the unit of work both run_campaign and run_farm
-/// execute. Pure in (target, plan, plan_seed, monitors): thread-safe and
-/// byte-deterministic, which is what lets the farm fan plans out across
-/// workers without perturbing verdicts.
+/// One plan's verdict — the unit of work every farm worker executes. Pure
+/// in (target, plan, plan_seed, monitors): thread-safe and byte-
+/// deterministic, which is what lets the farm fan plans out across workers
+/// without perturbing verdicts.
 struct PlanOutcome {
   std::uint64_t plan_seed = 0;
   FaultPlan plan;
@@ -180,8 +122,7 @@ struct PlanOutcome {
 };
 
 /// Runs one plan against one target (rehearsal, effective-pattern re-drive,
-/// monitors, tape capture on violation). Shared by the one-shot sweep and
-/// the farm workers.
+/// monitors, tape capture on violation). The farm workers' unit of work.
 [[nodiscard]] PlanOutcome run_plan(const CampaignTarget& target, const FaultPlan& plan,
                                    std::uint64_t plan_seed, bool monitors);
 
@@ -195,12 +136,26 @@ struct ShrunkFinding {
 [[nodiscard]] ShrunkFinding shrink_finding(const std::string& scenario, const ScheduleTape& tape);
 
 /// External plan queue (the `serve` FIFO): non-blocking; each poll returns
-/// one (target-name, plan) submission or nullopt.
+/// one raw queue line (without its newline) or nullopt when none is ready.
+/// run_farm parses the lines (parse_submission).
 class PlanSource {
  public:
   virtual ~PlanSource() = default;
-  virtual std::optional<std::pair<std::string, FaultPlan>> poll() = 0;
+  virtual std::optional<std::string> poll() = 0;
 };
+
+/// One external plan submission: a target name and the plan to run on it.
+struct Submission {
+  std::string target;
+  FaultPlan plan;
+};
+
+/// Parses one `<target> <plan-v1 text>` queue line. Returns nullopt for a
+/// blank or `#` comment line (skipped, not a submission); throws
+/// std::invalid_argument for a line with no plan text or a malformed plan.
+/// run_farm counts thrown lines, and lines naming no farm target, in
+/// FarmStats::dropped_submissions.
+[[nodiscard]] std::optional<Submission> parse_submission(const std::string& line);
 
 struct FarmOptions {
   std::uint64_t seed = 42;
@@ -233,8 +188,19 @@ struct FarmTargetStats {
   std::int64_t mutated = 0;        ///< plans produced by mutate/splice
   std::int64_t external = 0;       ///< plans submitted via the PlanSource
   std::int64_t total_steps = 0;
+  std::int64_t max_own_steps_to_decide = 0;  ///< worst own steps to decide, over all plans
+
+  /// Clean targets: no violation at all. Seeded-buggy targets: caught, i.e.
+  /// at least one safety violation.
+  [[nodiscard]] bool verdict_ok() const {
+    return expect_clean ? plans == clean : safety_violations > 0;
+  }
 };
 
+/// Run totals. The per-target rows are the only place outcomes are counted;
+/// plans, clean, violations, novel, duplicates, mutated, external,
+/// coverage_sigs and total_steps are sums over `targets`, filled by run_farm
+/// before every record it hands out.
 struct FarmStats {
   std::int64_t plans = 0;
   std::int64_t clean = 0;
@@ -245,7 +211,7 @@ struct FarmStats {
   std::int64_t shrink_replays_ok = 0;
   std::int64_t mutated = 0;
   std::int64_t external = 0;
-  std::int64_t dropped_submissions = 0;  ///< PlanSource submissions naming no farm target
+  std::int64_t dropped_submissions = 0;  ///< queue lines unparsable or naming no farm target
   std::int64_t coverage_sigs = 0;
   std::int64_t total_steps = 0;
   std::int64_t batches = 0;
@@ -258,6 +224,12 @@ struct FarmStats {
   bool drained = false;      ///< stopped via the stop flag (graceful drain)
   std::vector<FarmTargetStats> targets;
 };
+
+/// The strict campaign verdict (`efd_campaign run`, bench E15): every target
+/// meets FarmTargetStats::verdict_ok and every shrunk tape double-replayed
+/// bit-identically. (`serve` applies only the clean-target half: a drained
+/// soak need not have caught every seeded bug yet.)
+[[nodiscard]] bool campaign_verdict_ok(const FarmStats& stats);
 
 /// Runs the farm until a stop condition (stop flag, duration, max_plans)
 /// holds at a batch boundary — the in-flight batch always completes and its

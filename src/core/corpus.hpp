@@ -37,9 +37,10 @@
 
 namespace efd {
 
-/// A corpus directory could not be created, read or written. Tools map this
-/// (and campaign save-dir failures) to a distinct exit code: losing tapes
-/// silently is the one failure mode a fuzzing service must not have.
+/// A corpus directory (`efd_campaign run --save-dir`, `serve --corpus`) could
+/// not be created, read or written. Tools map this to a distinct exit code:
+/// losing tapes silently is the one failure mode a fuzzing service must not
+/// have.
 class CorpusIoError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;

@@ -327,9 +327,11 @@ void DiskTier::merge_shard(Shard& s, std::size_t shard_idx) {
 namespace {
 std::size_t per_shard_budget(const DedupConfig& cfg) noexcept {
   if (cfg.mem_budget_bytes == 0) return 0;
-  // Floor at 4 KiB so a tiny test budget still leaves a probe-able table
-  // between spills rather than spilling on every insert.
-  return std::max<std::size_t>(cfg.mem_budget_bytes / TieredSigSet::kShards, 4096);
+  // Floor at an empty stripe's own footprint: a share below it is exceeded
+  // by the first insert into a freshly drained stripe, so every fresh insert
+  // would spill a one-signature run.
+  return std::max<std::size_t>(cfg.mem_budget_bytes / TieredSigSet::kShards,
+                               FlatSigSet::empty_bytes());
 }
 }  // namespace
 

@@ -144,6 +144,12 @@ class FlatSigSet {
     return slots_.size() * sizeof(std::uint64_t);
   }
 
+  /// bytes() of an empty set: the footprint clear() and drain_into() return
+  /// to, so no byte budget below it can be met.
+  [[nodiscard]] static constexpr std::size_t empty_bytes() noexcept {
+    return kInitialCap * sizeof(std::uint64_t);
+  }
+
   /// Moves every stored signature (including an aside-tracked zero) into
   /// `out` (appended, unsorted) and resets the set to its initial capacity,
   /// releasing the table memory. Spill primitive of the tiered store.

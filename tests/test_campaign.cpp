@@ -1,10 +1,15 @@
 // Tests for the campaign engine (core/campaign.hpp): determinism, clean
 // verdicts for the paper algorithms, guaranteed catches for the seeded-buggy
-// variants, tape/shrink integration, and the efd-campaign-v1 JSON document.
+// variants, tape/shrink integration, and the farm's efd-campaign-farm-v1
+// record. The fixed sweep is a bounded run_farm call; per-plan checks go
+// through the units it composes (run_plan + shrink_finding).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <set>
 
 #include "core/campaign.hpp"
@@ -14,12 +19,23 @@
 namespace efd {
 namespace {
 
-CampaignOptions small_opts() {
-  CampaignOptions o;
+/// The fixed sweep: `plans` seeded plans per target (mutation off, so plan
+/// indices 0..plans-1), in-memory corpus, no soak stream.
+FarmOptions sweep_opts(int plans, std::size_t targets = 1) {
+  FarmOptions o;
   o.seed = 42;
-  o.plans = 12;
-  o.save_dir = "";  // keep unit tests filesystem-free
+  o.workers = 2;
+  o.batch = 8;
+  o.max_plans = static_cast<std::int64_t>(plans) * static_cast<std::int64_t>(targets);
+  o.mutate = false;
+  o.soak_interval_s = 0;
   return o;
+}
+
+/// Seeded plan `index` of `target` under campaign seed 42.
+PlanOutcome seeded_plan(const CampaignTarget& t, int index, bool monitors = true) {
+  const std::uint64_t seed = campaign_plan_seed(42, t.name, index);
+  return run_plan(t, FaultPlan::sample(seed, t.space), seed, monitors);
 }
 
 TEST(Campaign, TargetRegistryIsWellFormed) {
@@ -43,12 +59,14 @@ TEST(Campaign, CorrectAlgorithmsSurviveAllPlans) {
   for (const char* name : {"cons", "ren", "p1c"}) {
     const CampaignTarget* t = find_campaign_target(name);
     ASSERT_NE(t, nullptr);
-    const CampaignRun r = run_campaign(*t, small_opts());
-    EXPECT_TRUE(r.verdict_ok()) << name;
-    EXPECT_EQ(r.clean_plans, r.plans) << name;
-    EXPECT_TRUE(r.violations.empty()) << name;
+    const FarmStats r = run_farm({t}, sweep_opts(12));
+    EXPECT_TRUE(campaign_verdict_ok(r)) << name;
+    EXPECT_EQ(r.clean, r.plans) << name;
+    EXPECT_EQ(r.violations, 0) << name;
     EXPECT_GT(r.total_steps, 0) << name;
-    EXPECT_GT(r.monitored_steps, 0) << name;
+    std::int64_t monitored = 0;
+    for (int i = 0; i < 12; ++i) monitored += seeded_plan(*t, i).monitored_steps;
+    EXPECT_GT(monitored, 0) << name;
   }
 }
 
@@ -56,64 +74,93 @@ TEST(Campaign, SeededBuggyVariantsAreCaughtAndShrunk) {
   for (const char* name : {"synth", "bcf", "brn"}) {
     const CampaignTarget* t = find_campaign_target(name);
     ASSERT_NE(t, nullptr);
-    CampaignOptions o = small_opts();
-    o.plans = 20;
-    const CampaignRun r = run_campaign(*t, o);
-    EXPECT_TRUE(r.verdict_ok()) << name;
-    ASSERT_GE(r.safety_violations(), 1) << name;
-    for (const auto& v : r.violations) {
-      if (!v.safety) continue;
-      EXPECT_GT(v.tape_steps, 0) << name;
-      ASSERT_GT(v.shrunk_steps, 0) << name;
-      EXPECT_LE(v.shrunk_steps, v.tape_steps) << name;
-      EXPECT_TRUE(v.shrunk_replay_ok) << name << " seed " << v.plan_seed;
+    EXPECT_TRUE(campaign_verdict_ok(run_farm({t}, sweep_opts(20)))) << name;
+    int safety = 0;
+    for (int i = 0; i < 20; ++i) {
+      const PlanOutcome out = seeded_plan(*t, i);
+      if (!out.safety) continue;
+      ++safety;
+      EXPECT_GT(out.tape.steps.size(), 0u) << name;
+      const ShrunkFinding sf = shrink_finding(t->scenario, out.tape);
+      ASSERT_GT(sf.mini.steps.size(), 0u) << name;
+      EXPECT_LE(sf.mini.steps.size(), out.tape.steps.size()) << name;
+      EXPECT_TRUE(sf.replay_ok) << name << " seed " << out.plan_seed;
       // The plan line is valid plan-v1 provenance.
-      EXPECT_NO_THROW((void)FaultPlan::parse(v.plan)) << v.plan;
+      EXPECT_NO_THROW((void)FaultPlan::parse(sf.mini.plan)) << sf.mini.plan;
     }
+    EXPECT_GE(safety, 1) << name;
   }
+}
+
+/// Every stored corpus tape, by file name.
+std::map<std::string, std::string> corpus_files(const std::string& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    if (e.path().extension() != ".tape") continue;
+    std::ifstream in(e.path());
+    out[e.path().filename().string()] =
+        std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  return out;
 }
 
 TEST(Campaign, RunsAreDeterministic) {
   const CampaignTarget* t = find_campaign_target("bcf");
   ASSERT_NE(t, nullptr);
-  const CampaignRun a = run_campaign(*t, small_opts());
-  const CampaignRun b = run_campaign(*t, small_opts());
-  EXPECT_EQ(a.clean_plans, b.clean_plans);
+  const std::filesystem::path root =
+      std::filesystem::path(::testing::TempDir()) / "efd_campaign_determinism";
+  std::filesystem::remove_all(root);
+  FarmOptions oa = sweep_opts(12);
+  oa.corpus_dir = (root / "a").string();
+  FarmOptions ob = sweep_opts(12);
+  ob.corpus_dir = (root / "b").string();
+  ob.workers = 3;
+  const FarmStats a = run_farm({t}, oa);
+  const FarmStats b = run_farm({t}, ob);
+  EXPECT_EQ(a.clean, b.clean);
   EXPECT_EQ(a.total_steps, b.total_steps);
-  ASSERT_EQ(a.violations.size(), b.violations.size());
-  for (std::size_t i = 0; i < a.violations.size(); ++i) {
-    EXPECT_EQ(a.violations[i].plan_seed, b.violations[i].plan_seed);
-    EXPECT_EQ(a.violations[i].plan, b.violations[i].plan);
-    EXPECT_EQ(a.violations[i].tape_steps, b.violations[i].tape_steps);
-    EXPECT_EQ(a.violations[i].shrunk_steps, b.violations[i].shrunk_steps);
-  }
+  EXPECT_EQ(a.violations, b.violations);
+  EXPECT_EQ(a.novel, b.novel);
+  EXPECT_EQ(a.shrunk, b.shrunk);
+  // Same plans, same findings, same shrunk tapes: the two corpora hold
+  // byte-identical files under identical (plan-seed, content-key) names.
+  const auto fa = corpus_files(oa.corpus_dir);
+  EXPECT_FALSE(fa.empty());
+  EXPECT_EQ(fa, corpus_files(ob.corpus_dir));
+  std::filesystem::remove_all(root);
 }
 
 TEST(Campaign, MonitorsOffSkipsLivenessAccounting) {
   const CampaignTarget* t = find_campaign_target("cons");
   ASSERT_NE(t, nullptr);
-  CampaignOptions o = small_opts();
-  o.plans = 3;
+  for (int i = 0; i < 3; ++i) {
+    const PlanOutcome out = seeded_plan(*t, i, /*monitors=*/false);
+    EXPECT_EQ(out.monitored_steps, 0);
+    EXPECT_FALSE(out.wait_free_bad);
+  }
+  FarmOptions o = sweep_opts(3);
   o.monitors = false;
-  const CampaignRun r = run_campaign(*t, o);
-  EXPECT_TRUE(r.verdict_ok());
-  EXPECT_EQ(r.monitored_steps, 0);
-  EXPECT_EQ(r.wait_free_violations(), 0);
+  const FarmStats r = run_farm({t}, o);
+  EXPECT_TRUE(campaign_verdict_ok(r));
+  ASSERT_EQ(r.targets.size(), 1u);
+  EXPECT_EQ(r.targets[0].wait_free_violations, 0);
 }
 
-TEST(Campaign, JsonDocumentHasCampaignSchema) {
+TEST(Campaign, FarmRecordCarriesPerTargetWaitFreedomFigure) {
   const CampaignTarget* t = find_campaign_target("synth");
   ASSERT_NE(t, nullptr);
-  CampaignOptions o = small_opts();
-  o.plans = 6;
-  std::vector<CampaignRun> runs;
-  runs.push_back(run_campaign(*t, o));
-  const telemetry::Json doc = campaign_json(runs, o);
+  const FarmOptions o = sweep_opts(6);
+  const FarmStats r = run_farm({t}, o);
+  std::int64_t worst = 0;
+  for (int i = 0; i < 6; ++i) worst = std::max(worst, seeded_plan(*t, i).max_own_steps_to_decide);
+  ASSERT_EQ(r.targets.size(), 1u);
+  EXPECT_EQ(r.targets[0].max_own_steps_to_decide, worst);
+  EXPECT_GT(worst, 0);
+  const telemetry::Json doc = farm_json(r, o, "final");
   const std::string text = doc.dump();
-  EXPECT_NE(text.find("\"efd-campaign-v1\""), std::string::npos);
+  EXPECT_NE(text.find("\"efd-campaign-farm-v1\""), std::string::npos);
   EXPECT_NE(text.find("\"targets\""), std::string::npos);
-  EXPECT_NE(text.find("\"plan_mix\""), std::string::npos);
-  EXPECT_NE(text.find("\"violation_list\""), std::string::npos);
+  EXPECT_NE(text.find("\"max_own_steps_to_decide\""), std::string::npos);
   // Round-trips through the telemetry parser.
   const telemetry::Json back = telemetry::Json::parse(text);
   EXPECT_EQ(back.dump(), text);
@@ -196,17 +243,17 @@ TEST(Campaign, WaitFreeOnlyFindingsAreStampedAndKept) {
 
 // Regression: the save-dir was (re-)created inside the per-violation loop
 // with the failure ignored — an unwritable directory silently dropped every
-// tape. It must be checked once, up front, with a typed error.
+// tape. The corpus directory (`run --save-dir`) must be checked once, up
+// front, with a typed error.
 TEST(Campaign, UnwritableSaveDirFailsUpFront) {
   const CampaignTarget* t = find_campaign_target("cons");
   ASSERT_NE(t, nullptr);
-  CampaignOptions o = small_opts();
-  o.plans = 1;
+  FarmOptions o = sweep_opts(1);
   const std::string blocker =
       (std::filesystem::path(::testing::TempDir()) / "efd_campaign_blocker").string();
   std::ofstream(blocker) << "x";
-  o.save_dir = blocker + "/pending";
-  EXPECT_THROW((void)run_campaign(*t, o), CorpusIoError);
+  o.corpus_dir = blocker + "/pending";
+  EXPECT_THROW((void)run_farm({t}, o), CorpusIoError);
 }
 
 // Satellite of the fault-campaign issue: every campaign algorithm's safety

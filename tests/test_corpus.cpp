@@ -1,8 +1,9 @@
 // Tests for the persistent finding corpus (core/corpus.hpp) and the farm
 // engine built on it (core/campaign.hpp run_farm): content keys, atomic
 // novel-vs-duplicate classification across reopen, alias persistence,
-// quarantine of malformed entries, restart-with-corpus resume, and the count
-// of external submissions dropped for naming no target.
+// quarantine of malformed entries, restart-with-corpus resume, agreement with
+// a direct run_plan loop, and the count of external queue lines dropped for
+// naming no target or carrying no (or a malformed) plan.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -259,9 +260,9 @@ TEST(Farm, PoolStealsAreReportedAndVerdictsMatchAcrossWorkerCounts) {
 }
 
 TEST(Farm, OneShotAndFarmAgreeOnPlanVerdicts) {
-  // The farm executes the SAME (plan_seed, plan) stream as run_campaign
-  // (campaign_plan_seed + FaultPlan::sample), so with mutation off their
-  // clean/violation split must be identical.
+  // With mutation off the farm executes exactly the seeded (plan_seed, plan)
+  // stream (campaign_plan_seed + FaultPlan::sample), so its clean/violation
+  // split must equal a direct sequential run_plan loop over that stream.
   const CampaignTarget* t = find_campaign_target("bcf");
   ASSERT_NE(t, nullptr);
   FarmOptions fo = small_farm("");
@@ -270,44 +271,53 @@ TEST(Farm, OneShotAndFarmAgreeOnPlanVerdicts) {
   fo.shrink = false;
   const FarmStats farm = run_farm({t}, fo);
 
-  CampaignOptions co;
-  co.seed = fo.seed;
-  co.plans = 30;
-  co.shrink = false;
-  co.save_dir = "";
-  const CampaignRun shot = run_campaign(*t, co);
-  EXPECT_EQ(farm.clean, shot.clean_plans);
-  EXPECT_EQ(farm.violations, static_cast<std::int64_t>(shot.violations.size()));
-  EXPECT_EQ(farm.total_steps, shot.total_steps);
+  std::int64_t clean = 0;
+  std::int64_t violations = 0;
+  std::int64_t total_steps = 0;
+  for (int i = 0; i < 30; ++i) {
+    const std::uint64_t seed = campaign_plan_seed(fo.seed, t->name, i);
+    const PlanOutcome out = run_plan(*t, FaultPlan::sample(seed, t->space), seed, fo.monitors);
+    (out.violated() ? violations : clean)++;
+    total_steps += out.steps;
+  }
+  EXPECT_EQ(farm.clean, clean);
+  EXPECT_EQ(farm.violations, violations);
+  EXPECT_EQ(farm.total_steps, total_steps);
 }
 
-/// Hands out a fixed list of submissions, then reports an empty queue.
+/// Hands out a fixed list of queue lines, then reports an empty queue.
 class QueueSource final : public PlanSource {
  public:
-  explicit QueueSource(std::vector<std::pair<std::string, FaultPlan>> q) : q_(std::move(q)) {}
-  std::optional<std::pair<std::string, FaultPlan>> poll() override {
+  explicit QueueSource(std::vector<std::string> q) : q_(std::move(q)) {}
+  std::optional<std::string> poll() override {
     if (next_ >= q_.size()) return std::nullopt;
     return q_[next_++];
   }
 
  private:
-  std::vector<std::pair<std::string, FaultPlan>> q_;
+  std::vector<std::string> q_;
   std::size_t next_ = 0;
 };
 
 TEST(Farm, SubmissionsNamingNoTargetAreCountedAndDropped) {
   std::vector<const CampaignTarget*> targets = {find_campaign_target("synth")};
   ASSERT_NE(targets[0], nullptr);
-  QueueSource source({{"no_such_target", FaultPlan{}}, {"synth", FaultPlan{}}});
+  const std::string plan = FaultPlan{}.to_string();
+  QueueSource source({"no_such_target " + plan,   // unknown target: dropped
+                      "",                         // blank: skipped, not counted
+                      "# a comment",              // comment: skipped, not counted
+                      "synth " + plan,            // runs
+                      "synth plan-v1; bogus 1",  // malformed plan: dropped
+                      "synth"});                  // no plan text: dropped
   FarmOptions o = small_farm("");
   o.source = &source;
   const FarmStats r = run_farm(targets, o);
-  EXPECT_EQ(r.dropped_submissions, 1);
+  EXPECT_EQ(r.dropped_submissions, 3);
   EXPECT_EQ(r.external, 1) << "the known target's submission must still run";
   EXPECT_EQ(r.plans, o.max_plans);
   const telemetry::Json doc = farm_json(r, o, "final");
   ASSERT_NE(doc.find("dropped_submissions"), nullptr);
-  EXPECT_EQ(doc.find("dropped_submissions")->as_int(), 1);
+  EXPECT_EQ(doc.find("dropped_submissions")->as_int(), 3);
 }
 
 TEST(Farm, StopFlagDrainsGracefully) {

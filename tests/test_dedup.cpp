@@ -9,7 +9,8 @@
 //    asserts monotonicity (the per-stripe counts are summed without
 //    locking, and one reader's successive sums must never go backwards);
 //  * TieredSigSet property tests against a std::unordered_set oracle —
-//    random streams with duplicates, forced spills at tiny byte budgets,
+//    random streams with duplicates, forced spills at tiny byte budgets
+//    (and no spill per insert below an empty stripe's footprint),
 //    merge-then-query equivalence, and the mem-exhaustion latch;
 //  * explorer integration — ExploreOutcome through the disk tier is
 //    byte-identical to the unbudgeted store across {1,2,8} threads, and a
@@ -204,9 +205,11 @@ TEST(TieredSigSet, PlainConfigMatchesOracle) {
 TEST(TieredSigSet, TinyBudgetSpillsToDiskAndMatchesOracle) {
   DedupConfig cfg;
   cfg.disk_tier = true;
-  cfg.mem_budget_bytes = 64 * 1024;  // 4 KiB floor per shard: spills constantly
+  cfg.mem_budget_bytes = 64 * 1024;  // each stripe floored at an empty table's 8 KiB
   TieredSigSet store(cfg);
-  oracle_stream(store, 60000, 11, 40000);
+  // ~466k distinct signatures: ~7.3k per stripe, past the 8 spills of ~717
+  // signatures each that trigger a run merge.
+  oracle_stream(store, 900000, 11, 600000);
   EXPECT_FALSE(store.mem_exhausted());
   const TierStats t = store.tier_stats();
   EXPECT_GT(t.spills, 0) << "budget this small must spill";
@@ -214,6 +217,22 @@ TEST(TieredSigSet, TinyBudgetSpillsToDiskAndMatchesOracle) {
   EXPECT_GT(t.spill_bytes, 0);
   EXPECT_GT(t.merges, 0) << "enough spills per shard must trigger run merges";
   EXPECT_GT(t.cold_hits, 0) << "post-merge queries must hit the disk runs";
+}
+
+// Regression: the per-stripe budget was floored at 4 KiB, below an empty
+// stripe's own 8 KiB table, so under any total budget under 512 KiB every
+// fresh insert spilled a one-signature run (these 1,000 inserts: 1,000
+// spills, 106 merges). The floor is now the empty table's footprint.
+TEST(TieredSigSet, BudgetFloorDoesNotSpillEveryInsert) {
+  DedupConfig cfg;
+  cfg.disk_tier = true;
+  cfg.mem_budget_bytes = 64 * 1024;
+  TieredSigSet store(cfg);
+  for (const std::uint64_t sig : distinct_sigs(1000)) ASSERT_TRUE(store.insert(sig));
+  EXPECT_EQ(store.size(), 1000u);
+  const TierStats t = store.tier_stats();
+  EXPECT_LE(t.spills, 10) << "a fresh stripe must hold more than one signature";
+  EXPECT_LE(t.merges, 1);
 }
 
 TEST(TieredSigSet, ConcurrentInsertersAgreeWithOracleSet) {
@@ -255,7 +274,8 @@ TEST(TieredSigSet, MemBudgetWithoutDiskLatchesExhaustion) {
   TieredSigSet store(cfg);
   std::unordered_set<std::uint64_t> oracle;
   std::mt19937_64 rng(17);
-  for (std::size_t i = 0; i < 30000; ++i) {
+  // ~940 signatures per stripe: past the ~717 an 8 KiB stripe holds.
+  for (std::size_t i = 0; i < 60000; ++i) {
     const std::uint64_t sig = rng();
     // Insert semantics stay exact even past the latch; only the flag trips.
     ASSERT_EQ(store.insert(sig), oracle.insert(sig).second);
@@ -271,7 +291,7 @@ TEST(TieredSigSet, SpillDirIsRemovedOnDestruction) {
     cfg.disk_tier = true;
     cfg.mem_budget_bytes = 64 * 1024;
     TieredSigSet store(cfg);
-    for (std::uint64_t s = 1; s <= 20000; ++s) store.insert(s);
+    for (std::uint64_t s = 1; s <= 60000; ++s) store.insert(s);
     dir = store.spill_dir();
     ASSERT_FALSE(dir.empty()) << "spills must have created the directory";
     // Run files are unlinked at mmap time: the directory exists but is empty.
@@ -330,15 +350,15 @@ TEST(DedupConfig, FromEnvParsesTiersBudgetAndDir) {
 // ---------------------------------------------------------------------------
 
 ExploreOutcome sweep_with_store(const DedupConfig& store, int threads,
-                                std::int64_t max_states = 400000) {
-  const TaskPtr task = std::make_shared<SetAgreementTask>(4, 2);
+                                std::int64_t max_states = 400000, int n = 4) {
+  const TaskPtr task = std::make_shared<SetAgreementTask>(n, 2);
   const ValueVec in = task->sample_input(1);
   const auto body = [task](int, Value input) {
     return make_one_concurrent(task, input, "dedup/sweep");
   };
   ExploreConfig cfg;
   cfg.k = 2;
-  cfg.arrival = {0, 1, 2, 3};
+  for (int i = 0; i < n; ++i) cfg.arrival.push_back(i);
   cfg.max_states = max_states;
   cfg.engine = ExploreEngine::kIncremental;
   cfg.threads = threads;
@@ -346,16 +366,23 @@ ExploreOutcome sweep_with_store(const DedupConfig& store, int threads,
   return explore_k_concurrent(task, body, in, cfg);
 }
 
+/// The (5,2) level-2 sweep: ~103k signatures, enough to overflow the 8 KiB
+/// floor of all 64 stripes under a 64 KiB budget (the (4,2) sweep's ~25k
+/// signatures fit without a spill).
+ExploreOutcome spilling_sweep(const DedupConfig& store, int threads) {
+  return sweep_with_store(store, threads, 400000, 5);
+}
+
 TEST(TieredExplore, OutcomeInvariantAcrossThreadCountsWithDiskTier) {
-  const ExploreOutcome plain = sweep_with_store(DedupConfig{}, 1);
+  const ExploreOutcome plain = spilling_sweep(DedupConfig{}, 1);
   ASSERT_TRUE(plain.ok) << plain.violation;
   ASSERT_FALSE(plain.budget_exhausted);
 
   DedupConfig tiered;
   tiered.disk_tier = true;
-  tiered.mem_budget_bytes = 64 * 1024;  // tiny: the sweep spills constantly
+  tiered.mem_budget_bytes = 64 * 1024;  // tiny: the (5,2) sweep spills
   for (const int threads : {1, 2, 8}) {
-    const ExploreOutcome o = sweep_with_store(tiered, threads);
+    const ExploreOutcome o = spilling_sweep(tiered, threads);
     EXPECT_TRUE(o.ok) << o.violation;
     EXPECT_FALSE(o.budget_exhausted);
     EXPECT_FALSE(o.mem_exhausted);
@@ -370,12 +397,12 @@ TEST(TieredExplore, OutcomeInvariantAcrossThreadCountsWithDiskTier) {
 TEST(TieredExplore, MemoryCapWithoutDiskReportsLowerBound) {
   DedupConfig capped;
   capped.mem_budget_bytes = 64 * 1024;  // no disk tier: must abort
-  const ExploreOutcome o = sweep_with_store(capped, 1);
+  const ExploreOutcome o = spilling_sweep(capped, 1);
   EXPECT_TRUE(o.mem_exhausted);
   EXPECT_TRUE(o.budget_exhausted) << "mem exhaustion must read as budget exhaustion";
   EXPECT_TRUE(o.stats.mem_exhausted);
 
-  const ExploreOutcome full = sweep_with_store(DedupConfig{}, 1);
+  const ExploreOutcome full = spilling_sweep(DedupConfig{}, 1);
   EXPECT_LT(o.states, full.states) << "the capped sweep must have stopped early";
 }
 
@@ -383,7 +410,7 @@ TEST(TieredExplore, MemoryCapWithoutDiskReportsLowerBound) {
 // Parallel accounting: chunked budget reservation, per-explorer tallies.
 // ---------------------------------------------------------------------------
 
-/// Disk tier with a budget so small that every sweep spills constantly.
+/// Disk tier with a budget so small that the (5,2) sweep spills.
 DedupConfig spilling_store() {
   DedupConfig cfg;
   cfg.disk_tier = true;
@@ -427,12 +454,12 @@ TEST(ParallelBudget, OutcomeAtTheBudgetBoundaryMatchesOneThread) {
 }
 
 TEST(ParallelTallies, DeterministicTelemetryIsThreadCountInvariant) {
-  const ExploreOutcome ref = sweep_with_store(DedupConfig{}, 1);
+  const ExploreOutcome ref = spilling_sweep(DedupConfig{}, 1);
   ASSERT_TRUE(ref.ok) << ref.violation;
   for (const bool tiered : {false, true}) {
     const DedupConfig store = tiered ? spilling_store() : DedupConfig{};
     for (const int threads : {1, 2, 4, 8}) {
-      const ExploreOutcome o = sweep_with_store(store, threads);
+      const ExploreOutcome o = spilling_sweep(store, threads);
       const std::string where =
           std::string(tiered ? "tiered" : "plain") + " threads " + std::to_string(threads);
       ASSERT_TRUE(o.ok) << where;

@@ -18,10 +18,10 @@ Schema (efd-bench-v1), produced by efd::telemetry::BenchEmitter:
       ]
     }
 
-Also validates efd-campaign-v1 documents (tools/efd_campaign --out): a run
-header (seed, plans_per_target, monitors) plus one entry per campaign target
-with its verdict, plan mix and violation list (schema in EXPERIMENTS.md E15).
---validate dispatches on the document's "schema" field.
+Also validates efd-campaign-farm-v1 records (tools/efd_campaign run/serve
+--out, and serve's JSONL soak stream): run totals, corpus counts and one row
+per campaign target (schema in EXPERIMENTS.md E18). --validate dispatches on
+the document's "schema" field.
 
 Usage:
     bench_diff.py --validate FILE...
@@ -47,7 +47,6 @@ import os
 import sys
 
 SCHEMA = "efd-bench-v1"
-CAMPAIGN_SCHEMA = "efd-campaign-v1"
 FARM_SCHEMA = "efd-campaign-farm-v1"
 # "hit_rate" covers the tiered dedup store's per-tier hit rates: higher is
 # better (a drop means duplicates migrated to a slower tier), so they use the
@@ -91,55 +90,6 @@ def load(path):
             return json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         fail(f"{path}: {e}")
-
-
-def validate_campaign_doc(path, doc):
-    def check(cond, msg):
-        if not cond:
-            fail(f"{path}: {msg}")
-
-    check(isinstance(doc.get("git"), str) and doc["git"], "missing git describe")
-    check(isinstance(doc.get("seed"), int), "seed must be an integer")
-    check(isinstance(doc.get("plans_per_target"), int) and doc["plans_per_target"] > 0,
-          "plans_per_target must be a positive integer")
-    check(isinstance(doc.get("monitors"), bool), "monitors must be a boolean")
-    targets = doc.get("targets")
-    check(isinstance(targets, list) and targets, "targets must be a non-empty array")
-    seen = set()
-    for t in targets:
-        check(isinstance(t, dict), "target entry is not an object")
-        name = t.get("target")
-        check(isinstance(name, str) and name, "target without a name")
-        check(name not in seen, f"duplicate target {name!r}")
-        seen.add(name)
-        for key in ("scenario", "algorithm"):
-            check(isinstance(t.get(key), str) and t[key], f"{name}: missing {key}")
-        for key in ("expect_clean", "verdict_ok"):
-            check(isinstance(t.get(key), bool), f"{name}: {key} must be a boolean")
-        for key in ("plans", "clean_plans", "violations", "safety_violations",
-                    "wait_free_violations", "starvation_observations", "total_steps",
-                    "rehearsal_steps", "monitored_steps", "max_own_steps_to_decide"):
-            check(isinstance(t.get(key), int) and t[key] >= 0,
-                  f"{name}: {key} must be a non-negative integer")
-        mix = t.get("plan_mix")
-        check(isinstance(mix, dict), f"{name}: plan_mix must be an object")
-        for key in ("fd_fault", "storm", "trigger", "burst", "link"):
-            check(isinstance(mix.get(key), int) and mix[key] >= 0,
-                  f"{name}: plan_mix.{key} must be a non-negative integer")
-        viols = t.get("violation_list")
-        check(isinstance(viols, list), f"{name}: violation_list must be an array")
-        check(len(viols) == t["violations"],
-              f"{name}: violation_list length != violations count")
-        for v in viols:
-            check(isinstance(v, dict), f"{name}: violation entry is not an object")
-            check(isinstance(v.get("plan_seed"), int), f"{name}: violation without plan_seed")
-            check(isinstance(v.get("plan"), str) and v["plan"].startswith("plan-v1"),
-                  f"{name}: violation plan is not a plan-v1 line")
-            for key in ("safety", "wait_free", "shrunk_replay_ok"):
-                check(isinstance(v.get(key), bool), f"{name}: violation {key} must be a boolean")
-            for key in ("tape_steps", "shrunk_steps"):
-                check(isinstance(v.get(key), int) and v[key] >= 0,
-                      f"{name}: violation {key} must be a non-negative integer")
 
 
 def load_stream(path):
@@ -221,6 +171,11 @@ def validate_farm_doc(path, doc):
                     "mutated", "external", "total_steps"):
             check(isinstance(t.get(key), int) and t[key] >= 0,
                   f"{name}: {key} must be a non-negative integer")
+        # Added after the schema's first release: absent in older records.
+        if "max_own_steps_to_decide" in t:
+            check(isinstance(t["max_own_steps_to_decide"], int)
+                  and t["max_own_steps_to_decide"] >= 0,
+                  f"{name}: max_own_steps_to_decide must be a non-negative integer")
 
 
 def validate_doc(path, doc, require_alloc_probe=True):
@@ -229,15 +184,11 @@ def validate_doc(path, doc, require_alloc_probe=True):
             fail(f"{path}: {msg}")
 
     check(isinstance(doc, dict), "top level is not an object")
-    if doc.get("schema") == CAMPAIGN_SCHEMA:
-        validate_campaign_doc(path, doc)
-        return
     if doc.get("schema") == FARM_SCHEMA:
         validate_farm_doc(path, doc)
         return
     check(doc.get("schema") == SCHEMA,
-          f"schema is {doc.get('schema')!r}, want {SCHEMA!r}, {CAMPAIGN_SCHEMA!r}"
-          f" or {FARM_SCHEMA!r}")
+          f"schema is {doc.get('schema')!r}, want {SCHEMA!r} or {FARM_SCHEMA!r}")
     check(isinstance(doc.get("experiment"), str) and doc["experiment"], "missing experiment name")
     check(isinstance(doc.get("git"), str) and doc["git"], "missing git describe")
     benches = doc.get("benchmarks")
@@ -313,8 +264,8 @@ def diff_dirs(base_dir, cand_dir, threshold):
         # tools/bench_smoke.sh on freshly emitted files) insists on it.
         validate_doc(os.path.join(base_dir, fname), base, require_alloc_probe=False)
         validate_doc(os.path.join(cand_dir, fname), cand, require_alloc_probe=False)
-        if CAMPAIGN_SCHEMA in (base.get("schema"), cand.get("schema")):
-            print(f"note: {fname} is an {CAMPAIGN_SCHEMA} document; not diffable, skipping")
+        if FARM_SCHEMA in (base.get("schema"), cand.get("schema")):
+            print(f"note: {fname} is an {FARM_SCHEMA} document; not diffable, skipping")
             continue
         base_by_name = {b["name"]: b for b in base["benchmarks"]}
         for b in cand["benchmarks"]:

@@ -1,15 +1,19 @@
 #!/usr/bin/env sh
 # Campaign smoke check (ctest -L campaign): a small fixed-seed sweep over all
 # campaign targets must end with every verdict met — clean targets clean,
-# seeded-buggy targets caught with a verified shrunk tape — and must emit a
-# well-formed efd-campaign-v1 document. Small N keeps this fast enough to run
-# under EFD_SANITIZE=address/thread builds, where the full sweep would not be.
+# seeded-buggy targets caught, every shrunk tape replay-verified — and must
+# emit a schema-valid efd-campaign-farm-v1 "final" record (checked with
+# bench_diff.py --validate when python3 is available). Small N keeps this
+# fast enough to run under EFD_SANITIZE=address/thread builds, where the full
+# sweep would not be.
 #
 # usage: campaign_smoke.sh <efd_campaign-binary> [workdir]
 set -eu
 
 campaign="$1"
 work="${2:-$(mktemp -d)}"
+script_dir="$(cd "$(dirname "$0")" && pwd)"
+rm -rf "$work"
 mkdir -p "$work"
 out="$work/campaign_smoke.json"
 
@@ -21,8 +25,12 @@ out="$work/campaign_smoke.json"
   --target cons --target ksa --target ren --target p1c \
   --target synth --target bcf --target brn
 
-grep -q '"schema": "efd-campaign-v1"' "$out" || {
-  echo "FAIL: $out is not an efd-campaign-v1 document" >&2
+grep -q '"schema": "efd-campaign-farm-v1"' "$out" || {
+  echo "FAIL: $out is not an efd-campaign-farm-v1 record" >&2
+  exit 1
+}
+grep -q '"mode": "final"' "$out" || {
+  echo "FAIL: $out is not the final farm record" >&2
   exit 1
 }
 grep -q '"target": "cons"' "$out" || {
@@ -30,8 +38,12 @@ grep -q '"target": "cons"' "$out" || {
   exit 1
 }
 
-# Violation tapes of the seeded-buggy targets must exist and carry the plan
-# provenance line.
+if command -v python3 >/dev/null 2>&1; then
+  python3 "$script_dir/bench_diff.py" --validate "$out"
+fi
+
+# Novel findings of the seeded-buggy targets must be stored as corpus tapes
+# carrying the plan provenance line.
 found=0
 for tape in "$work"/pending/*.tape; do
   [ -e "$tape" ] || continue

@@ -11,13 +11,16 @@
 //                      [--no-monitors] [--no-shrink] [--no-mutate]
 //
 // `run` sweeps N random FaultPlans (crash storms, targeted trigger kills,
-// lying/omissive/stuttering advice, starvation bursts) per campaign target —
-// the paper algorithms expected to survive everything, plus the seeded-buggy
-// variants the campaign must catch. Violations are saved as replayable
-// `efd-tape-v1` tapes (default: tests/corpus/pending/), safety findings are
-// ddmin-shrunk and double-replay-verified, and the sweep summary is emitted
-// as `efd-campaign-v1` JSON (schema in EXPERIMENTS.md E15; bench_diff.py
-// --validate accepts it).
+// lying/omissive/stuttering advice, starvation bursts, link faults) per
+// campaign target — the paper algorithms expected to survive everything, plus
+// the seeded-buggy variants the campaign must catch. It is a bounded farm
+// call (run_farm with mutation off and N plans per target, so each target
+// runs exactly its seeded plans 0..N-1): novel findings are stored as
+// replayable `efd-tape-v1` tapes in the --save-dir corpus (default:
+// tests/corpus/pending/), safety findings are ddmin-shrunk and
+// double-replay-verified, and the summary is the farm's `efd-campaign-farm-v1`
+// "final" record (schema in EXPERIMENTS.md E18; bench_diff.py --validate
+// accepts it), written to --out or stdout.
 //
 // `serve` is the resident campaign farm (DESIGN.md 4g, EXPERIMENTS.md E18):
 // it streams seeded + coverage-mutated plans — plus external submissions
@@ -31,8 +34,9 @@
 // Restarting with the same --corpus resumes from the persisted finding set,
 // so known findings are reported as duplicates, not rediscoveries.
 //
-// Exit codes: 0 every target met its verdict (clean targets clean, buggy
-// targets caught with a verified shrunk tape; serve: clean exit or drain);
+// Exit codes: 0 every target met its verdict (run: clean targets clean, buggy
+// targets caught, every shrunk tape replay-verified; serve: no clean target
+// violated, whether it stopped on its bound or drained);
 // 1 some verdict failed; 2 usage error; 6 any other error; 7 a save/corpus
 // directory could not be created or written.
 #include <atomic>
@@ -44,9 +48,9 @@
 #include <cstring>
 #include <exception>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <fcntl.h>
@@ -106,19 +110,21 @@ std::vector<const CampaignTarget*> pick_targets(const std::vector<std::string>& 
 }
 
 int cmd_run(int argc, char** argv) {
-  CampaignOptions opts;
-  opts.save_dir = "tests/corpus/pending";
+  FarmOptions opts;
+  opts.corpus_dir = "tests/corpus/pending";
+  opts.mutate = false;
+  int plans = 100;
   std::vector<std::string> names;
   std::string out_path;
   for (int i = 0; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
       opts.seed = std::strtoull(argv[++i], nullptr, 0);
     } else if (!std::strcmp(argv[i], "--plans") && i + 1 < argc) {
-      opts.plans = std::atoi(argv[++i]);
+      plans = std::atoi(argv[++i]);
     } else if (!std::strcmp(argv[i], "--target") && i + 1 < argc) {
       names.emplace_back(argv[++i]);
     } else if (!std::strcmp(argv[i], "--save-dir") && i + 1 < argc) {
-      opts.save_dir = argv[++i];
+      opts.corpus_dir = argv[++i];
     } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
       out_path = argv[++i];
     } else if (!std::strcmp(argv[i], "--no-monitors")) {
@@ -129,36 +135,29 @@ int cmd_run(int argc, char** argv) {
       return usage();
     }
   }
-  if (opts.plans <= 0) return usage();
+  if (plans <= 0) return usage();
 
   bool names_ok = false;
   const std::vector<const CampaignTarget*> picked = pick_targets(names, &names_ok);
   if (!names_ok) return 2;
+  // Round-robin over the targets with mutation off: each target gets exactly
+  // its seeded plan indices 0..plans-1.
+  opts.max_plans = static_cast<std::int64_t>(plans) * static_cast<std::int64_t>(picked.size());
 
-  std::vector<CampaignRun> runs;
-  bool all_ok = true;
-  for (const CampaignTarget* t : picked) {
-    CampaignRun r = run_campaign(*t, opts);
-    const bool ok = r.verdict_ok();
-    all_ok = all_ok && ok;
+  const FarmStats stats = run_farm(picked, opts);
+  for (const FarmTargetStats& t : stats.targets) {
     std::fprintf(stderr,
-                 "%-8s %4d plans  %4d clean  %2d safety  %2d wait-free  %3" PRId64
-                 " starvation obs  %s\n",
-                 r.target.c_str(), r.plans, r.clean_plans, r.safety_violations(),
-                 r.wait_free_violations(), r.starvation_observations,
-                 ok ? "OK" : (r.expect_clean ? "VIOLATIONS" : "BUG NOT CAUGHT"));
-    for (const auto& v : r.violations) {
-      std::fprintf(stderr, "         seed %" PRIu64 " [%s] %s\n", v.plan_seed, v.plan.c_str(),
-                   v.detail.c_str());
-      if (v.shrunk_steps > 0) {
-        std::fprintf(stderr, "         shrunk %" PRId64 " -> %" PRId64 " steps, replay %s\n",
-                     v.tape_steps, v.shrunk_steps, v.shrunk_replay_ok ? "verified" : "FAILED");
-      }
-    }
-    runs.push_back(std::move(r));
+                 "%-8s %4" PRId64 " plans  %4" PRId64 " clean  %2" PRId64 " safety  %2" PRId64
+                 " wait-free  %3" PRId64 " starvation obs  max own steps %" PRId64 "  %s\n",
+                 t.target.c_str(), t.plans, t.clean, t.safety_violations, t.wait_free_violations,
+                 t.starvation_observations, t.max_own_steps_to_decide,
+                 t.verdict_ok() ? "OK" : (t.expect_clean ? "VIOLATIONS" : "BUG NOT CAUGHT"));
   }
+  std::fprintf(stderr, "%" PRId64 " novel finding(s) in %s; %" PRId64 "/%" PRId64
+               " shrunk tape(s) replay-verified\n",
+               stats.novel, opts.corpus_dir.c_str(), stats.shrink_replays_ok, stats.shrunk);
 
-  const std::string doc = campaign_json(runs, opts).dump(2);
+  const std::string doc = farm_json(stats, opts, "final").dump(2);
   if (out_path.empty()) {
     std::printf("%s\n", doc.c_str());
   } else {
@@ -170,17 +169,16 @@ int cmd_run(int argc, char** argv) {
     }
     std::fprintf(stderr, "wrote %s\n", out_path.c_str());
   }
-  return all_ok ? 0 : 1;
+  return campaign_verdict_ok(stats) ? 0 : 1;
 }
 
 /// Non-blocking line reader over a FIFO (or any file): each poll() returns
-/// one `<target> <plan-text>` submission. Malformed lines (bad plan text,
-/// missing target) are reported to stderr and dropped — a typo in the queue
-/// must not take the farm down. EOF with no writer is quiet: a FIFO opened
-/// O_RDONLY|O_NONBLOCK reads 0 bytes until the next writer connects.
+/// one raw queue line; run_farm parses it and counts the malformed ones.
+/// EOF with no writer is quiet: a FIFO opened O_RDONLY|O_NONBLOCK reads 0
+/// bytes until the next writer connects.
 class FifoPlanSource final : public PlanSource {
  public:
-  explicit FifoPlanSource(const std::string& path) : path_(path) {
+  explicit FifoPlanSource(const std::string& path) {
     fd_ = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
     if (fd_ < 0) {
       throw std::runtime_error("cannot open queue " + path + ": " + std::strerror(errno));
@@ -192,9 +190,14 @@ class FifoPlanSource final : public PlanSource {
     if (fd_ >= 0) ::close(fd_);
   }
 
-  std::optional<std::pair<std::string, FaultPlan>> poll() override {
+  std::optional<std::string> poll() override {
     for (;;) {
-      if (auto sub = take_line()) return sub;
+      const auto nl = buf_.find('\n');
+      if (nl != std::string::npos) {
+        std::string line = buf_.substr(0, nl);
+        buf_.erase(0, nl + 1);
+        return line;
+      }
       char chunk[4096];
       const ssize_t n = ::read(fd_, chunk, sizeof chunk);
       if (n <= 0) return std::nullopt;  // drained (or EAGAIN / no writer yet)
@@ -203,30 +206,6 @@ class FifoPlanSource final : public PlanSource {
   }
 
  private:
-  std::optional<std::pair<std::string, FaultPlan>> take_line() {
-    for (;;) {
-      const auto nl = buf_.find('\n');
-      if (nl == std::string::npos) return std::nullopt;
-      const std::string line = buf_.substr(0, nl);
-      buf_.erase(0, nl + 1);
-      if (line.empty() || line[0] == '#') continue;
-      const auto sp = line.find(' ');
-      if (sp == std::string::npos) {
-        std::fprintf(stderr, "efd_campaign: queue line without plan text dropped: %s\n",
-                     line.c_str());
-        continue;
-      }
-      try {
-        FaultPlan plan = FaultPlan::parse(line.substr(sp + 1));
-        return std::make_pair(line.substr(0, sp), std::move(plan));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "efd_campaign: malformed queue plan dropped (%s): %s\n", e.what(),
-                     line.c_str());
-      }
-    }
-  }
-
-  std::string path_;
   int fd_ = -1;
   std::string buf_;
 };
@@ -313,10 +292,10 @@ int cmd_serve(int argc, char** argv) {
     std::fprintf(stderr, "wrote %s\n", out_path.c_str());
   }
 
-  // Verdict: expect-clean targets must have zero violations; a drain is not
-  // a failure. Buggy targets are allowed to keep re-finding their bug.
+  // Verdict: only the clean-target half of campaign_verdict_ok; a drain is
+  // not a failure, and a soak need not have caught every seeded bug yet.
   for (const auto& t : stats.targets) {
-    if (t.expect_clean && (t.safety_violations > 0 || t.wait_free_violations > 0)) return 1;
+    if (t.expect_clean && !t.verdict_ok()) return 1;
   }
   return 0;
 }

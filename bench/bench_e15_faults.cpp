@@ -88,18 +88,18 @@ void E15_CampaignBuggyRenaming(benchmark::State& state) {
 /// Identical worlds, schedules and step counts — only the observer differs.
 void run_monitor_ab(benchmark::State& state, bool monitored, const char* json_name) {
   const CampaignTarget* target = find_campaign_target("cons");
-  const Scenario* sc = find_scenario(target->scenario);
-  if (sc == nullptr) {
-    state.SkipWithError("missing consensus scenario");
+  if (target == nullptr) {
+    state.SkipWithError("missing consensus target");
     return;
   }
-  const FailurePattern f(target->num_s);
+  const Scenario& sc = *find_scenario(target->scenario);  // registry targets always resolve
+  const FailurePattern f(sc.num_s);
   const DetectorPtr advice = target->advice();
   std::int64_t steps_total = 0;
   bool decided = true;
   bool wait_free = true;
   for (auto _ : state) {
-    World w = sc->make_world(f, advice->history(f, 42));
+    World w = sc.make_world(f, advice->history(f, 42));
     LivenessMonitor mon(target->bounds);
     if (monitored) w.attach_observer(&mon);
     RoundRobinScheduler rr;

@@ -6,30 +6,15 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "core/monitors.hpp"
 #include "core/repro_scenarios.hpp"
 #include "core/shrink.hpp"
 #include "core/workpool.hpp"
+#include "sim/hash.hpp"
 #include "sim/replay.hpp"
-#include "sim/schedule.hpp"
 
 namespace efd {
 namespace {
-
-std::uint64_t mix_seed(std::uint64_t seed, int i) {
-  std::uint64_t z = seed + 0x9E3779B97F4A7C15ULL * (static_cast<std::uint64_t>(i) + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
 
 /// Coarse AFL-style coverage signature of one run: a 64-bit presence map of
 /// the (process, op, register) triples the run exercised, mixed with the
@@ -57,259 +42,26 @@ std::uint64_t trace_coverage_sig(const Trace& tr) {
   return map ^ (0x632BE59BD9B4E019ULL * static_cast<std::uint64_t>(decisions + 1));
 }
 
-std::function<std::unique_ptr<Scheduler>(std::uint64_t)> random_sched() {
-  return [](std::uint64_t seed) -> std::unique_ptr<Scheduler> {
-    return std::make_unique<RandomScheduler>(seed ^ 0x5EEDF00DULL);
-  };
-}
-
-/// Seeded arrival permutation for the 1-concurrent window target.
-std::function<std::unique_ptr<Scheduler>(std::uint64_t)> window_sched(int num_c) {
-  return [num_c](std::uint64_t seed) -> std::unique_ptr<Scheduler> {
-    std::vector<int> arrival(static_cast<std::size_t>(num_c));
-    for (int i = 0; i < num_c; ++i) arrival[static_cast<std::size_t>(i)] = i;
-    std::uint64_t z = seed;
-    for (int i = num_c - 1; i > 0; --i) {
-      z = mix_seed(z, i);
-      std::swap(arrival[static_cast<std::size_t>(i)],
-                arrival[static_cast<std::size_t>(z % static_cast<std::uint64_t>(i + 1))]);
-    }
-    return std::make_unique<KConcurrencyScheduler>(1, std::move(arrival), 0);
-  };
-}
-
-std::vector<CampaignTarget> build_targets() {
-  std::vector<CampaignTarget> out;
-  {
-    CampaignTarget t;
-    t.name = "cons";
-    t.scenario = "cons_leader_crash_commit";
-    t.algorithm = "leader consensus (Omega advice + Paxos)";
-    t.num_s = 3;
-    t.advice = [] { return std::make_shared<OmegaFd>(12); };
-    t.make_sched = random_sched();
-    t.max_steps = 12000;
-    t.bounds = {800, 2500, 5000};
-    t.expect_clean = true;
-    t.space.num_s = 3;
-    t.space.num_c = 3;
-    t.space.horizon = 2500;
-    t.space.max_crashes = 2;
-    t.space.trigger_prefixes = {"cons/ACC"};
-    t.space.allow_fd_faults = true;
-    t.space.max_gst = 60;
-    t.space.max_bursts = 2;
-    t.space.max_burst_len = 400;
-    out.push_back(std::move(t));
+/// The scenario `name` names; throws std::invalid_argument for `caller`
+/// when no scenario does.
+const Scenario& scenario_named(const std::string& name, const char* caller) {
+  const Scenario* sc = find_scenario(name);
+  if (sc == nullptr) {
+    throw std::invalid_argument(std::string(caller) + ": unknown scenario " + name);
   }
-  {
-    CampaignTarget t;
-    t.name = "ksa";
-    t.scenario = "ksa_starved_leader";
-    t.algorithm = "k-set agreement (vector-Omega-k advice, KSA)";
-    t.num_s = 4;
-    t.advice = [] { return std::make_shared<VectorOmegaK>(2, 25); };
-    t.make_sched = random_sched();
-    t.max_steps = 12000;
-    t.bounds = {1200, 2500, 5000};
-    t.expect_clean = true;
-    t.space.num_s = 4;
-    t.space.num_c = 4;
-    t.space.horizon = 2500;
-    t.space.max_crashes = 2;
-    t.space.trigger_prefixes = {"ksa/"};
-    t.space.allow_fd_faults = true;
-    t.space.max_gst = 60;
-    t.space.max_bursts = 2;
-    t.space.max_burst_len = 400;
-    out.push_back(std::move(t));
-  }
-  {
-    CampaignTarget t;
-    t.name = "ren";
-    t.scenario = "renaming_flip_lockstep";
-    t.algorithm = "k-concurrent renaming (Fig. 4)";
-    t.num_s = 1;
-    t.advice = [] { return std::make_shared<TrivialFd>(); };
-    t.make_sched = random_sched();
-    t.max_steps = 8000;
-    t.bounds = {600, 2000, 4000};
-    t.expect_clean = true;
-    t.space.num_s = 1;
-    t.space.num_c = 3;
-    t.space.horizon = 2000;
-    t.space.max_crashes = 1;
-    t.space.allow_fd_faults = false;
-    t.space.max_bursts = 2;
-    t.space.max_burst_len = 300;
-    out.push_back(std::move(t));
-  }
-  {
-    CampaignTarget t;
-    t.name = "p1c";
-    t.scenario = "one_conc_window";
-    t.algorithm = "generic 1-concurrent solver (Prop. 1) on consensus";
-    t.num_s = 0;
-    t.advice = [] { return std::make_shared<TrivialFd>(); };
-    t.make_sched = window_sched(3);
-    t.max_steps = 2000;
-    t.bounds = {64, 500, 500};
-    t.expect_clean = true;
-    t.space.num_s = 0;
-    t.space.num_c = 3;
-    t.space.horizon = 500;
-    t.space.max_crashes = 0;
-    t.space.allow_fd_faults = false;
-    t.space.max_bursts = 2;
-    t.space.max_burst_len = 100;
-    out.push_back(std::move(t));
-  }
-  {
-    CampaignTarget t;
-    t.name = "synth";
-    t.scenario = "synth_write_race";
-    t.algorithm = "seeded bug: racing writers (shrinker reference)";
-    t.num_s = 1;
-    t.advice = [] { return std::make_shared<TrivialFd>(); };
-    t.make_sched = random_sched();
-    t.max_steps = 2000;
-    t.expect_clean = false;
-    t.space.num_s = 1;
-    t.space.num_c = 3;
-    t.space.horizon = 1000;
-    t.space.max_crashes = 1;
-    t.space.allow_fd_faults = false;
-    t.space.max_bursts = 2;
-    t.space.max_burst_len = 200;
-    out.push_back(std::move(t));
-  }
-  {
-    CampaignTarget t;
-    t.name = "bcf";
-    t.scenario = "buggy_cons_first_writer";
-    t.algorithm = "seeded bug: first-writer consensus";
-    t.num_s = 1;
-    t.advice = [] { return std::make_shared<TrivialFd>(); };
-    t.make_sched = random_sched();
-    t.max_steps = 1500;
-    t.expect_clean = false;
-    t.space.num_s = 1;
-    t.space.num_c = 8;
-    t.space.horizon = 500;
-    t.space.max_crashes = 1;
-    t.space.allow_fd_faults = false;
-    t.space.max_bursts = 2;
-    t.space.max_burst_len = 100;
-    out.push_back(std::move(t));
-  }
-  {
-    CampaignTarget t;
-    t.name = "brn";
-    t.scenario = "buggy_ren_stale_claim";
-    t.algorithm = "seeded bug: stale-claim renaming";
-    t.num_s = 1;
-    t.advice = [] { return std::make_shared<TrivialFd>(); };
-    t.make_sched = random_sched();
-    t.max_steps = 1500;
-    t.expect_clean = false;
-    t.space.num_s = 1;
-    t.space.num_c = 8;
-    t.space.horizon = 500;
-    t.space.max_crashes = 1;
-    t.space.allow_fd_faults = false;
-    t.space.max_bursts = 2;
-    t.space.max_burst_len = 100;
-    out.push_back(std::move(t));
-  }
-  {
-    CampaignTarget t;
-    t.name = "tw";
-    t.scenario = "buggy_torn_commit";
-    t.algorithm = "seeded bug: torn A/B epoch commit";
-    t.num_s = 1;
-    t.advice = [] { return std::make_shared<TrivialFd>(); };
-    t.make_sched = random_sched();
-    t.max_steps = 2000;
-    t.expect_clean = false;
-    t.space.num_s = 1;
-    t.space.num_c = 4;
-    t.space.horizon = 800;
-    t.space.max_crashes = 1;
-    t.space.trigger_prefixes = {"tw/A", "tw/B"};
-    t.space.allow_fd_faults = false;
-    t.space.max_bursts = 2;
-    t.space.max_burst_len = 150;
-    out.push_back(std::move(t));
-  }
-  {
-    // E20 lossy-link pair, raw half: FloodMin with a decision timeout over
-    // the 3x3 message grid. Random link storms (drops, severs) starve
-    // processes into deciding on partial views and break 2-set agreement —
-    // the campaign must CATCH it with a shrunk, double-replayed tape.
-    CampaignTarget t;
-    t.name = "mpfm_raw";
-    t.scenario = "mp_floodmin_lossy_raw";
-    t.algorithm = "seeded bug: timeout FloodMin over lossy links (E20 raw)";
-    t.num_s = 9;  // the 3x3 link-daemon grid
-    t.advice = [] { return std::make_shared<TrivialFd>(); };
-    t.make_sched = random_sched();
-    t.max_steps = 6000;
-    t.expect_clean = false;
-    t.space.num_s = 0;  // daemons are infrastructure: no S-kills
-    t.space.num_c = 3;
-    // Tight horizon: unstormed runs decide within ~150 steps, so charges
-    // sampled over a longer window would land on finished runs.
-    t.space.horizon = 80;
-    t.space.max_crashes = 0;
-    t.space.allow_fd_faults = false;
-    t.space.max_bursts = 2;
-    t.space.max_burst_len = 100;
-    t.space.mp_senders = 3;
-    t.space.mp_mailboxes = 3;
-    t.space.max_link_actions = 8;
-    t.space.max_link_charge = 3;
-    t.space.max_sever_window = 48;
-    out.push_back(std::move(t));
-  }
-  {
-    // E20 lossy-link pair, hardened half: the SAME decision problem behind
-    // the ack/retransmit layer. Must survive every storm the space can
-    // sample — the per-link loss budget (actions x charge) stays below the
-    // retry budget (12 doubling rounds), so liveness bounds can be honest.
-    CampaignTarget t;
-    t.name = "mpfm_rt";
-    t.scenario = "mp_floodmin_lossy_rt";
-    t.algorithm = "retransmit-hardened FloodMin over lossy links (E20)";
-    t.num_s = 9;
-    t.advice = [] { return std::make_shared<TrivialFd>(); };
-    t.make_sched = random_sched();
-    t.max_steps = 30000;
-    t.bounds = {3000, 8000, 16000};
-    t.bounds.retransmit_storm_window = 400;
-    t.expect_clean = true;
-    t.space.num_s = 0;
-    t.space.num_c = 3;
-    // Tight horizon: unstormed runs decide within ~150 steps, so charges
-    // sampled over a longer window would land on finished runs.
-    t.space.horizon = 140;
-    t.space.max_crashes = 0;
-    t.space.allow_fd_faults = false;
-    t.space.max_bursts = 2;
-    t.space.max_burst_len = 100;
-    t.space.mp_senders = 3;
-    t.space.mp_mailboxes = 3;
-    t.space.max_link_actions = 4;
-    t.space.max_link_charge = 2;
-    t.space.max_sever_window = 32;
-    out.push_back(std::move(t));
-  }
-  return out;
+  return *sc;
 }
 
 }  // namespace
 
 const std::vector<CampaignTarget>& campaign_targets() {
-  static const std::vector<CampaignTarget> targets = build_targets();
+  static const std::vector<CampaignTarget> targets = [] {
+    std::vector<CampaignTarget> out;
+    for (const Scenario& sc : scenarios()) {
+      if (sc.campaign) out.push_back(*sc.campaign);
+    }
+    return out;
+  }();
   return targets;
 }
 
@@ -325,37 +77,30 @@ std::uint64_t campaign_plan_seed(std::uint64_t campaign_seed, const std::string&
   // The target-name fold decorrelates plan sequences across targets: the old
   // mix_seed(seed, i) gave every target the SAME plans (and two campaigns
   // writing into one save_dir the same tape stems).
-  return mix_seed(campaign_seed ^ fnv1a(target), index);
+  return splitmix64_at(campaign_seed ^ fnv1a(target), static_cast<std::uint64_t>(index));
 }
 
 PlanOutcome run_plan(const CampaignTarget& target, const FaultPlan& plan,
                      std::uint64_t plan_seed, bool monitors) {
-  const Scenario* sc = find_scenario(target.scenario);
-  if (sc == nullptr) {
-    throw std::invalid_argument("run_plan: unknown scenario " + target.scenario);
-  }
-  if (!target.advice || !target.make_sched) {
-    throw std::invalid_argument("run_plan: target '" + target.name +
-                                "' missing advice or scheduler factory");
-  }
+  const Scenario& sc = scenario_named(target.scenario, "run_plan");
 
   PlanOutcome out;
   out.plan_seed = plan_seed;
   out.plan = plan;
 
-  const FailurePattern base(target.num_s);
+  const FailurePattern base(sc.num_s);
   const DetectorPtr advice = plan.corrupt(target.advice());
 
   // Rehearsal: resolve the plan's S-kills (storm step indices, trigger
   // matches) into concrete crash TIMES over the base pattern.
-  std::vector<std::optional<Time>> crash_at(static_cast<std::size_t>(target.num_s));
+  std::vector<std::optional<Time>> crash_at(static_cast<std::size_t>(sc.num_s));
   if (!plan.storm.empty() || !plan.triggers.empty()) {
-    World rehearsal = sc->make_world(base, advice->history(base, plan_seed));
+    World rehearsal = sc.make_world(base, advice->history(base, plan_seed));
     const auto inner = target.make_sched(plan_seed);
     BurstScheduler bursts(*inner, plan.bursts);
     const DriveResult dr = drive(rehearsal, bursts, target.max_steps, plan.faults());
     out.rehearsal_steps = dr.steps;
-    int never_crashed = target.num_s;
+    int never_crashed = sc.num_s;
     for (std::size_t k = 0; k < dr.applied.size(); ++k) {
       const auto qi = static_cast<std::size_t>(dr.applied[k].s_index);
       if (crash_at[qi]) continue;
@@ -372,7 +117,7 @@ PlanOutcome run_plan(const CampaignTarget& target, const FaultPlan& plan,
   // pattern, then plan-corrupted; bursts wrap the scheduler; the monitor
   // watches with plan-scaled bounds.
   const DetectorPtr eff_advice = plan.corrupt(target.advice());
-  World w = sc->make_world(eff, eff_advice->history(eff, plan_seed));
+  World w = sc.make_world(eff, eff_advice->history(eff, plan_seed));
 
   std::int64_t total_burst = 0;
   for (const auto& b : plan.bursts) total_burst += b.length;
@@ -435,7 +180,7 @@ PlanOutcome run_plan(const CampaignTarget& target, const FaultPlan& plan,
   }
   out.coverage_sig = trace_coverage_sig(w.trace());
 
-  out.safety = sc->violated(w);
+  out.safety = sc.violated(w);
   // A retransmit storm is a liveness finding on par with a broken
   // wait-freedom bound: the hardened protocols must converge without
   // unexplained send volume. Only targets that SET the storm window can flag
@@ -470,19 +215,16 @@ PlanOutcome run_plan(const CampaignTarget& target, const FaultPlan& plan,
 }
 
 ShrunkFinding shrink_finding(const std::string& scenario, const ScheduleTape& tape) {
-  const Scenario* sc = find_scenario(scenario);
-  if (sc == nullptr) {
-    throw std::invalid_argument("shrink_finding: unknown scenario " + scenario);
-  }
-  const TapePredicate still_fails = scenario_predicate(*sc, true);
+  const Scenario& sc = scenario_named(scenario, "shrink_finding");
+  const TapePredicate still_fails = scenario_predicate(sc, true);
   ShrunkFinding out;
   out.mini = shrink_tape(tape, still_fails);
-  const ScenarioReplayOutcome stamp = replay_in_scenario(*sc, out.mini);
+  const ScenarioReplayOutcome stamp = replay_in_scenario(sc, out.mini);
   out.mini.expect_hash = stamp.replay.hash;
   out.mini.expect_violated = true;
   out.mini.plan = tape.plan;
   out.mini.finding = tape.finding;
-  const ScenarioReplayOutcome again = replay_in_scenario(*sc, out.mini);
+  const ScenarioReplayOutcome again = replay_in_scenario(sc, out.mini);
   out.replay_ok = again.replay.hash_match && again.violated;
   return out;
 }
@@ -552,12 +294,6 @@ struct Slot {
 
 FarmStats run_farm(const std::vector<const CampaignTarget*>& targets, const FarmOptions& opts) {
   if (targets.empty()) throw std::invalid_argument("run_farm: no targets");
-  for (const auto* t : targets) {
-    if (t == nullptr) throw std::invalid_argument("run_farm: null target");
-    if (find_scenario(t->scenario) == nullptr) {
-      throw std::invalid_argument("run_farm: unknown scenario " + t->scenario);
-    }
-  }
 
   FarmStats stats;
   CorpusStore corpus;

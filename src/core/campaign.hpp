@@ -2,8 +2,9 @@
 // the paper's algorithms, with liveness monitoring, violation tapes, and
 // automatic ddmin shrinking.
 //
-// A CampaignTarget binds a repro scenario (core/repro_scenarios.hpp) to an
-// honest advice detector, a scheduler family, liveness bounds, and a
+// A target is the campaign part of a repro scenario (CampaignTarget,
+// core/repro_scenarios.hpp): the scenario's world and safety predicate plus
+// an honest advice detector, a scheduler family, liveness bounds, and a
 // FaultPlan::Space. For every plan seed the campaign:
 //
 //  1. samples a FaultPlan and, when it contains S-kills, resolves them in a
@@ -35,43 +36,20 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/corpus.hpp"
-#include "core/monitors.hpp"
+#include "core/repro_scenarios.hpp"
 #include "core/telemetry.hpp"
-#include "fd/detectors.hpp"
 #include "sim/faultplan.hpp"
 
 namespace efd {
 
-struct CampaignTarget {
-  std::string name;       ///< short key for the CLI / JSON ("cons", "tw", ...)
-  std::string scenario;   ///< repro-scenario registry key (worlds + safety)
-  std::string algorithm;  ///< human-readable algorithm label
-
-  int num_s = 0;                              ///< S-processes of the base pattern
-  std::function<DetectorPtr()> advice;        ///< honest advice detector
-  /// Scheduler family (seeded); the campaign wraps it in Burst + Recording.
-  std::function<std::unique_ptr<Scheduler>(std::uint64_t seed)> make_sched;
-
-  std::int64_t max_steps = 4000;
-
-  // Base liveness bounds (0 disables the check). Scaled PER PLAN: the
-  // wait-freedom bound grows with the advice stabilization time and the
-  // plan's total burst length, the watchdog windows likewise — planned
-  // unfairness must not masquerade as an algorithm violation.
-  MonitorBounds bounds;
-
-  bool expect_clean = true;  ///< correct algorithm: any violation is a finding
-  FaultPlan::Space space;    ///< plan sampling dimensions
-};
-
-/// The built-in sweep list: the paper algorithms expected to survive every
-/// plan, plus the seeded-buggy variants the campaign must catch.
+/// The built-in sweep list, in scenario-registry order: the campaign parts
+/// of every scenario that has one — the paper algorithms expected to survive
+/// every plan, plus the seeded-buggy variants the campaign must catch.
 [[nodiscard]] const std::vector<CampaignTarget>& campaign_targets();
 [[nodiscard]] const CampaignTarget* find_campaign_target(const std::string& name);
 

@@ -13,17 +13,10 @@
 #include <string>
 #include <vector>
 
+#include "sim/hash.hpp"
+
 namespace efd {
 namespace {
-
-constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x;
-}
 
 [[noreturn]] void die(const std::string& what) {
   throw std::runtime_error("diskset: " + what + ": " + std::strerror(errno));

@@ -12,6 +12,7 @@
 #include "fd/detectors.hpp"
 #include "sim/adversary.hpp"
 #include "sim/faultplan.hpp"
+#include "sim/hash.hpp"
 #include "sim/memory.hpp"
 #include "tasks/consensus.hpp"
 
@@ -105,12 +106,36 @@ Proc endless_proposer(Context& ctx, int me, Value v) {
 }
 
 /// Records `sched` driving `w` (which must be freshly spawned) under
-/// `faults`, and stamps the scenario predicate's outcome.
-ScheduleTape record_run(const std::string& scenario_name, World& w, Scheduler& sched,
-                        std::int64_t max_steps, const Faults& faults = {}) {
+/// `faults`, and stamps the outcome of the scenario predicate `violated`.
+ScheduleTape record_run(const std::string& scenario_name, bool (*violated)(const World&),
+                        World& w, Scheduler& sched, std::int64_t max_steps,
+                        const Faults& faults = {}) {
   ScheduleTape t = record_tape(scenario_name, w, sched, max_steps, faults);
-  t.expect_violated = find_scenario(scenario_name)->violated(w);
+  t.expect_violated = violated(w);
   return t;
+}
+
+// ---- campaign scheduler families --------------------------------------------
+
+std::function<std::unique_ptr<Scheduler>(std::uint64_t)> random_sched() {
+  return [](std::uint64_t seed) -> std::unique_ptr<Scheduler> {
+    return std::make_unique<RandomScheduler>(seed ^ 0x5EEDF00DULL);
+  };
+}
+
+/// Seeded arrival permutation for a 1-concurrent window.
+std::function<std::unique_ptr<Scheduler>(std::uint64_t)> window_sched(int num_c) {
+  return [num_c](std::uint64_t seed) -> std::unique_ptr<Scheduler> {
+    std::vector<int> arrival(static_cast<std::size_t>(num_c));
+    for (int i = 0; i < num_c; ++i) arrival[static_cast<std::size_t>(i)] = i;
+    std::uint64_t z = seed;
+    for (int i = num_c - 1; i > 0; --i) {
+      z = splitmix64_at(z, static_cast<std::uint64_t>(i));
+      std::swap(arrival[static_cast<std::size_t>(i)],
+                arrival[static_cast<std::size_t>(z % static_cast<std::uint64_t>(i + 1))]);
+    }
+    return std::make_unique<KConcurrencyScheduler>(1, std::move(arrival), 0);
+  };
 }
 
 // ---- synth_write_race ------------------------------------------------------
@@ -120,6 +145,7 @@ ScheduleTape record_run(const std::string& scenario_name, World& w, Scheduler& s
 // p1 decides — 3 steps out of a ~100-step random recording.
 
 const RegAddr kSynthX{"synth/X"};
+constexpr int kSynthC = 3;  // two racing writers and one late decider
 
 World make_synth_world(const FailurePattern& f, HistoryPtr h) {
   World w(f, std::move(h));
@@ -138,7 +164,7 @@ ScheduleTape synth_record(std::uint64_t seed) {
   const FailurePattern base(1);
   World w = make_synth_world(base, TrivialFd{}.history(base, 0));
   RandomScheduler rs(seed);
-  return record_run("synth_write_race", w, rs, 2000);
+  return record_run("synth_write_race", synth_violated, w, rs, 2000);
 }
 
 // ---- paxos_lockstep_livelock ----------------------------------------------
@@ -164,7 +190,7 @@ ScheduleTape paxos_record(std::uint64_t) {
   const FailurePattern base(0);
   World w = make_paxos_world(base, TrivialFd{}.history(base, 0));
   LockstepScheduler ls({cpid(0), cpid(1)});
-  return record_run("paxos_lockstep_livelock", w, ls, 400);
+  return record_run("paxos_lockstep_livelock", paxos_violated, w, ls, 400);
 }
 
 // ---- cons_leader_crash_commit ---------------------------------------------
@@ -225,7 +251,8 @@ ScheduleTape cons_record(std::uint64_t seed) {
   const std::int64_t budget = crashes.empty() ? 1500 : crashes.front().step_index + 400;
   World w = make_cons_world(base, omega.history(base, seed));
   RandomScheduler inner(seed ^ 0x5EED);
-  return record_run("cons_leader_crash_commit", w, inner, budget, {.crashes = std::move(crashes)});
+  return record_run("cons_leader_crash_commit", cons_violated, w, inner, budget,
+                    {.crashes = std::move(crashes)});
 }
 
 // ---- renaming_flip_lockstep ------------------------------------------------
@@ -261,7 +288,7 @@ ScheduleTape ren_record(std::uint64_t) {
   const FailurePattern base(1);
   World w = make_ren_world(base, TrivialFd{}.history(base, 0));
   LockstepScheduler ls({cpid(0), cpid(1), cpid(2)});
-  return record_run("renaming_flip_lockstep", w, ls, 5000);
+  return record_run("renaming_flip_lockstep", ren_violated, w, ls, 5000);
 }
 
 // ---- ksa_starved_leader ----------------------------------------------------
@@ -302,7 +329,7 @@ ScheduleTape ksa_record(std::uint64_t seed) {
   SuppressScheduler sup(inner, [starved](Pid pid, const World&) {
     return pid == spid(starved);
   });
-  return record_run("ksa_starved_leader", w, sup, 6000);
+  return record_run("ksa_starved_leader", ksa_violated, w, sup, 6000);
 }
 
 // ---- quitter_window --------------------------------------------------------
@@ -327,7 +354,7 @@ ScheduleTape quitter_record(std::uint64_t) {
   const FailurePattern base(0);
   World w = make_quitter_world(base, TrivialFd{}.history(base, 0));
   KConcurrencyScheduler ks(1, {0, 1, 2}, 0);
-  return record_run("quitter_window", w, ks, 200);
+  return record_run("quitter_window", quitter_violated, w, ks, 200);
 }
 
 // ---- one_conc_window -------------------------------------------------------
@@ -364,7 +391,7 @@ ScheduleTape p1c_record(std::uint64_t) {
   const FailurePattern base(0);
   World w = make_p1c_world(base, TrivialFd{}.history(base, 0));
   KConcurrencyScheduler ks(1, {0, 1, 2}, 0);
-  return record_run("one_conc_window", w, ks, 400);
+  return record_run("one_conc_window", p1c_violated, w, ks, 400);
 }
 
 // ---- buggy_cons_first_writer -----------------------------------------------
@@ -403,7 +430,7 @@ ScheduleTape bcf_record(std::uint64_t seed) {
   const FailurePattern base(1);
   World w = make_bcf_world(base, TrivialFd{}.history(base, 0));
   RandomScheduler rs(seed);
-  return record_run("buggy_cons_first_writer", w, rs, 400);
+  return record_run("buggy_cons_first_writer", bcf_violated, w, rs, 400);
 }
 
 // ---- buggy_ren_stale_claim -------------------------------------------------
@@ -439,7 +466,7 @@ ScheduleTape brn_record(std::uint64_t seed) {
   const FailurePattern base(1);
   World w = make_brn_world(base, TrivialFd{}.history(base, 0));
   RandomScheduler rs(seed);
-  return record_run("buggy_ren_stale_claim", w, rs, 400);
+  return record_run("buggy_ren_stale_claim", brn_violated, w, rs, 400);
 }
 
 // ---- buggy_torn_commit -----------------------------------------------------
@@ -484,7 +511,7 @@ ScheduleTape tw_record(std::uint64_t seed) {
   FaultPlan plan;
   plan.triggers.push_back(CrashTrigger{"tw/A", OpKind::kWrite, 1, 1 + static_cast<int>(seed % 2)});
   RandomScheduler inner(seed);
-  ScheduleTape t = record_run("buggy_torn_commit", w, inner, 600, plan.faults());
+  ScheduleTape t = record_run("buggy_torn_commit", tw_violated, w, inner, 600, plan.faults());
   t.plan = plan.to_string();
   return t;
 }
@@ -535,7 +562,7 @@ ScheduleTape mpfm_clean_record(std::uint64_t seed) {
   const FailurePattern base(kMpfmN * kMpfmN);
   World w = make_mpfm_world(base, TrivialFd{}.history(base, 0));
   RandomScheduler rs(seed);
-  return record_run("mp_floodmin_clean", w, rs, 4000);
+  return record_run("mp_floodmin_clean", mpfm_kset_violated, w, rs, 4000);
 }
 
 ScheduleTape mpfm_part_record(std::uint64_t seed) {
@@ -544,7 +571,7 @@ ScheduleTape mpfm_part_record(std::uint64_t seed) {
   RandomScheduler rs(seed);
   // p0 never decides (its group is alone), so the drive runs its full
   // budget: keep it small — the artifact is the blocking, not the length.
-  return record_run("mp_floodmin_partition", w, rs, 700);
+  return record_run("mp_floodmin_partition", mpfm_kset_violated, w, rs, 700);
 }
 
 ScheduleTape mpfm_crash_record(std::uint64_t seed) {
@@ -577,7 +604,8 @@ ScheduleTape mpfm_crash_record(std::uint64_t seed) {
   // Phase 2: the actual recording, same seed, with the mid-broadcast kills.
   World w = make_mpfm_world(base, TrivialFd{}.history(base, 0));
   RandomScheduler rs(seed);
-  return record_run("mp_floodmin_crash_bcast", w, rs, 4000, {.crashes = std::move(crashes)});
+  return record_run("mp_floodmin_crash_bcast", mpfm_cons_violated, w, rs, 4000,
+                    {.crashes = std::move(crashes)});
 }
 
 // ---- mp_floodmin lossy pair ------------------------------------------------
@@ -620,7 +648,8 @@ ScheduleTape mpfm_lossy_record(const std::string& scenario_name, World w, std::u
                                std::int64_t max_steps) {
   const FaultPlan plan = mpfm_drop_storm();
   RandomScheduler inner(seed);
-  ScheduleTape t = record_run(scenario_name, w, inner, max_steps, plan.faults());
+  ScheduleTape t =
+      record_run(scenario_name, mpfm_kset_violated, w, inner, max_steps, plan.faults());
   t.plan = plan.to_string();
   return t;
 }
@@ -641,55 +670,172 @@ ScheduleTape mpfm_lossy_rt_record(std::uint64_t seed) {
                            8000);
 }
 
+// The entries leave members at their defaults on purpose (no campaign part,
+// unset plan-space dimensions); GCC's -Wmissing-field-initializers flags
+// that even for designated initializers.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmissing-field-initializers"
+
+/// The registry, in campaign-target order (the farm's round-robin and the
+/// JSON row order follow it): each entry's campaign part, where it has one,
+/// is written from the world's own constants.
 std::vector<Scenario> build_registry() {
-  return {
-      {"synth_write_race",
-       "synthetic writer race (shrinker reference; minimal witness = 3 steps)",
-       make_synth_world, synth_violated, synth_record},
+  const auto trivial = [] { return std::make_shared<TrivialFd>(); };
+  std::vector<Scenario> registry{
       {"paxos_lockstep_livelock",
-       "two endless Paxos proposers under strict lockstep never decide",
+       "two endless Paxos proposers under strict lockstep never decide", 0,
        make_paxos_world, paxos_violated, paxos_record},
       {"cons_leader_crash_commit",
-       "Omega-led consensus; leader killed mid-commit (first ACC write); safety holds",
-       make_cons_world, cons_violated, cons_record},
-      {"renaming_flip_lockstep",
-       "Fig. 4 renaming under flip-maximizing lockstep; names distinct in [1, 2j-1]",
-       make_ren_world, ren_violated, ren_record},
+       "Omega-led consensus; leader killed mid-commit (first ACC write); safety holds", kConsN,
+       make_cons_world, cons_violated, cons_record,
+       CampaignTarget{.name = "cons",
+                      .algorithm = "leader consensus (Omega advice + Paxos)",
+                      .advice = [] { return std::make_shared<OmegaFd>(12); },
+                      .make_sched = random_sched(),
+                      .max_steps = 12000,
+                      .bounds = {800, 2500, 5000},
+                      .space = {.num_s = kConsN, .num_c = kConsN, .horizon = 2500,
+                                .max_crashes = 2, .trigger_prefixes = {"cons/ACC"},
+                                .max_gst = 60, .max_burst_len = 400}}},
       {"ksa_starved_leader",
-       "KSA with the stable →Ωk slot's server suppressed (¬Ωk starvation); ≤ k values",
-       make_ksa_world, ksa_violated, ksa_record},
+       "KSA with the stable →Ωk slot's server suppressed (¬Ωk starvation); ≤ k values", kKsaN,
+       make_ksa_world, ksa_violated, ksa_record,
+       CampaignTarget{.name = "ksa",
+                      .algorithm = "k-set agreement (vector-Omega-k advice, KSA)",
+                      .advice = [] { return std::make_shared<VectorOmegaK>(kKsaK, 25); },
+                      .make_sched = random_sched(),
+                      .max_steps = 12000,
+                      .bounds = {1200, 2500, 5000},
+                      .space = {.num_s = kKsaN, .num_c = kKsaN, .horizon = 2500,
+                                .max_crashes = 2, .trigger_prefixes = {"ksa/"},
+                                .max_gst = 60, .max_burst_len = 400}}},
+      {"renaming_flip_lockstep",
+       "Fig. 4 renaming under flip-maximizing lockstep; names distinct in [1, 2j-1]", 1,
+       make_ren_world, ren_violated, ren_record,
+       CampaignTarget{.name = "ren",
+                      .algorithm = "k-concurrent renaming (Fig. 4)",
+                      .advice = trivial,
+                      .make_sched = random_sched(),
+                      .max_steps = 8000,
+                      .bounds = {600, 2000, 4000},
+                      .space = {.num_s = 1, .num_c = kRenJ, .horizon = 2000, .max_crashes = 1,
+                                .allow_fd_faults = false, .max_burst_len = 300}}},
       {"quitter_window",
-       "1-concurrent window with a terminated-undecided quitter; window retires it",
+       "1-concurrent window with a terminated-undecided quitter; window retires it", 0,
        make_quitter_world, quitter_violated, quitter_record},
       {"one_conc_window",
-       "generic 1-concurrent consensus solver (Prop. 1) under a 1-slot window",
-       make_p1c_world, p1c_violated, p1c_record},
+       "generic 1-concurrent consensus solver (Prop. 1) under a 1-slot window", 0,
+       make_p1c_world, p1c_violated, p1c_record,
+       CampaignTarget{.name = "p1c",
+                      .algorithm = "generic 1-concurrent solver (Prop. 1) on consensus",
+                      .advice = trivial,
+                      .make_sched = window_sched(kP1cN),
+                      .max_steps = 2000,
+                      .bounds = {64, 500, 500},
+                      .space = {.num_s = 0, .num_c = kP1cN, .horizon = 500, .max_crashes = 0,
+                                .allow_fd_faults = false, .max_burst_len = 100}}},
+      {"synth_write_race",
+       "synthetic writer race (shrinker reference; minimal witness = 3 steps)", 1,
+       make_synth_world, synth_violated, synth_record,
+       CampaignTarget{.name = "synth",
+                      .algorithm = "seeded bug: racing writers (shrinker reference)",
+                      .advice = trivial,
+                      .make_sched = random_sched(),
+                      .max_steps = 2000,
+                      .expect_clean = false,
+                      .space = {.num_s = 1, .num_c = kSynthC, .horizon = 1000, .max_crashes = 1,
+                                .allow_fd_faults = false, .max_burst_len = 200}}},
       {"buggy_cons_first_writer",
-       "seeded bug: consensus that decides the slot-0 read, own value on bottom",
-       make_bcf_world, bcf_violated, bcf_record},
+       "seeded bug: consensus that decides the slot-0 read, own value on bottom", 1,
+       make_bcf_world, bcf_violated, bcf_record,
+       CampaignTarget{.name = "bcf",
+                      .algorithm = "seeded bug: first-writer consensus",
+                      .advice = trivial,
+                      .make_sched = random_sched(),
+                      .max_steps = 1500,
+                      .expect_clean = false,
+                      .space = {.num_s = 1, .num_c = kBcfN, .horizon = 500, .max_crashes = 1,
+                                .allow_fd_faults = false, .max_burst_len = 100}}},
       {"buggy_ren_stale_claim",
-       "seeded bug: renaming that claims a free slot without rechecking",
-       make_brn_world, brn_violated, brn_record},
+       "seeded bug: renaming that claims a free slot without rechecking", 1,
+       make_brn_world, brn_violated, brn_record,
+       CampaignTarget{.name = "brn",
+                      .algorithm = "seeded bug: stale-claim renaming",
+                      .advice = trivial,
+                      .make_sched = random_sched(),
+                      .max_steps = 1500,
+                      .expect_clean = false,
+                      .space = {.num_s = 1, .num_c = kBrnN, .horizon = 500, .max_crashes = 1,
+                                .allow_fd_faults = false, .max_burst_len = 100}}},
       {"buggy_torn_commit",
-       "seeded bug: client trusts the uncommitted half of a torn A/B epoch write",
-       make_tw_world, tw_violated, tw_record},
+       "seeded bug: client trusts the uncommitted half of a torn A/B epoch write", 1,
+       make_tw_world, tw_violated, tw_record,
+       CampaignTarget{.name = "tw",
+                      .algorithm = "seeded bug: torn A/B epoch commit",
+                      .advice = trivial,
+                      .make_sched = random_sched(),
+                      .max_steps = 2000,
+                      .expect_clean = false,
+                      .space = {.num_s = 1, .num_c = kTwC, .horizon = 800, .max_crashes = 1,
+                                .trigger_prefixes = {"tw/A", "tw/B"}, .allow_fd_faults = false,
+                                .max_burst_len = 150}}},
       {"mp_floodmin_clean",
        "FloodMin (n=3, f=1) on the MP substrate, failure-free; 2-set agreement holds",
-       make_mpfm_world, mpfm_kset_violated, mpfm_clean_record},
+       kMpfmN * kMpfmN, make_mpfm_world, mpfm_kset_violated, mpfm_clean_record},
       {"mp_floodmin_partition",
        "FloodMin under a {p0}|{p1,p2} partition (severed-link daemons); p0 blocks, safety holds",
-       make_mpfm_world, mpfm_kset_violated, mpfm_part_record},
+       kMpfmN * kMpfmN, make_mpfm_world, mpfm_kset_violated, mpfm_part_record},
       {"mp_floodmin_crash_bcast",
        "FloodMin with p0's broadcast cut mid-flight (link daemons killed); decisions split at k=1",
-       make_mpfm_world, mpfm_cons_violated, mpfm_crash_record},
+       kMpfmN * kMpfmN, make_mpfm_world, mpfm_cons_violated, mpfm_crash_record},
+      // E20 lossy-link pair, raw half: FloodMin with a decision timeout over
+      // the 3x3 message grid. Random link storms (drops, severs) starve
+      // processes into deciding on partial views and break 2-set agreement —
+      // the campaign must CATCH it with a shrunk, double-replayed tape. The
+      // S-processes are the link daemons: infrastructure, so the plan space
+      // has no S-kills (space.num_s = 0). Tight horizon: unstormed runs
+      // decide within ~150 steps, so charges sampled over a longer window
+      // would land on finished runs.
       {"mp_floodmin_lossy_raw",
        "timeout FloodMin under a full cross-link drop storm; 3 own-input decisions break 2-set",
-       make_mpfm_lossy_raw_world, mpfm_kset_violated, mpfm_lossy_raw_record},
+       kMpfmN * kMpfmN, make_mpfm_lossy_raw_world, mpfm_kset_violated, mpfm_lossy_raw_record,
+       CampaignTarget{.name = "mpfm_raw",
+                      .algorithm = "seeded bug: timeout FloodMin over lossy links (E20 raw)",
+                      .advice = trivial,
+                      .make_sched = random_sched(),
+                      .max_steps = 6000,
+                      .expect_clean = false,
+                      .space = {.num_s = 0, .num_c = kMpfmN, .horizon = 80, .max_crashes = 0,
+                                .allow_fd_faults = false, .max_burst_len = 100,
+                                .mp_senders = kMpfmN, .mp_mailboxes = kMpfmN,
+                                .max_link_actions = 8, .max_link_charge = 3,
+                                .max_sever_window = 48}}},
+      // E20 lossy-link pair, hardened half: the SAME decision problem behind
+      // the ack/retransmit layer. Must survive every storm the space can
+      // sample — the per-link loss budget (actions x charge) stays below the
+      // retry budget (12 doubling rounds), so liveness bounds can be honest.
       {"mp_floodmin_lossy_rt",
        "retransmit-hardened FloodMin under the same drop storm; retries recover, safety holds",
-       make_mpfm_lossy_rt_world, mpfm_kset_violated, mpfm_lossy_rt_record},
+       kMpfmN * kMpfmN, make_mpfm_lossy_rt_world, mpfm_kset_violated, mpfm_lossy_rt_record,
+       CampaignTarget{.name = "mpfm_rt",
+                      .algorithm = "retransmit-hardened FloodMin over lossy links (E20)",
+                      .advice = trivial,
+                      .make_sched = random_sched(),
+                      .max_steps = 30000,
+                      .bounds = {3000, 8000, 16000, 400},
+                      .space = {.num_s = 0, .num_c = kMpfmN, .horizon = 140, .max_crashes = 0,
+                                .allow_fd_faults = false, .max_burst_len = 100,
+                                .mp_senders = kMpfmN, .mp_mailboxes = kMpfmN,
+                                .max_link_actions = 4, .max_link_charge = 2,
+                                .max_sever_window = 32}}},
   };
+  for (Scenario& sc : registry) {
+    if (sc.campaign) sc.campaign->scenario = sc.name;
+  }
+  return registry;
 }
+
+#pragma GCC diagnostic pop
 
 }  // namespace
 

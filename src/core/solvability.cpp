@@ -11,35 +11,13 @@
 
 #include "core/diskset.hpp"
 #include "core/workpool.hpp"
+#include "sim/hash.hpp"
 #include "sim/schedule.hpp"
 
 namespace efd {
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 constexpr std::uint64_t kDecidedSalt = 7919u;
-
-/// splitmix64 finalizer: avalanches a per-process step chain before it
-/// enters the cross-process fold. Without it the node signature is linear
-/// in the per-process chains over the SAME prime as the per-step fold, so
-/// it degenerates to a hash of the concatenated traces: the process
-/// boundary contributes only kFnvOffset * prime^(steps_i + procs - i),
-/// and that multiset collides whenever two schedules swap step counts
-/// between processes whose step contributions are identical (e.g. writes,
-/// which fold Nil + op regardless of address or value). Observed in the
-/// wild: schedules 0,1,1,1,1 and 1,1,0,0,0 of the set-agreement solver
-/// produced equal signatures for genuinely different configurations,
-/// silently merging their subtrees. Mixing makes the outer fold see
-/// avalanche-distinct summaries, destroying the structural cancellation.
-constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ULL;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  return x;
-}
 
 /// The world an engine explores in: the configured factory (substrate
 /// installs, MP worlds) or the legacy pure-register default.
@@ -215,7 +193,7 @@ class IncrementalExplorer {
         window_(cfg.k, cfg.arrival),
         mp_(w_.substrate_set()) {
     const std::size_t n = static_cast<std::size_t>(task_->n_procs());
-    proc_sig_.assign(n, kFnvOffset);
+    proc_sig_.assign(n, kStateHashOffset);
     decided_.assign(n, 0);
     terminated_.assign(n, 0);
     exists_.assign(n, 0);
@@ -556,6 +534,21 @@ class IncrementalExplorer {
   /// engine's (shared-state hash — registers plus substrate-held mailbox
   /// state, byte-identical across backends holding the same contents —
   /// per-process step-result chains, decided salts, admission progress).
+  ///
+  /// Each per-process chain passes through the splitmix64 finalizer before
+  /// it enters the cross-process fold. Without it the node signature is
+  /// linear in the per-process chains over the SAME prime as the per-step
+  /// fold, so it degenerates to a hash of the concatenated traces: the
+  /// process boundary contributes only
+  /// kStateHashOffset * prime^(steps_i + procs - i), and that multiset
+  /// collides whenever two schedules swap step counts between processes
+  /// whose step contributions are identical (e.g. writes, which fold
+  /// Nil + op regardless of address or value). Observed
+  /// in the wild: schedules 0,1,1,1,1 and 1,1,0,0,0 of the set-agreement
+  /// solver produced equal signatures for genuinely different
+  /// configurations, silently merging their subtrees. Mixing makes the
+  /// outer fold see avalanche-distinct summaries, destroying the structural
+  /// cancellation.
   [[nodiscard]] std::uint64_t sig() const {
     std::uint64_t s = w_.state_hash();
     for (std::size_t i = 0; i < proc_sig_.size(); ++i) {
@@ -660,7 +653,8 @@ class FullReplayExplorer {
     win.refresh(w);
 
     // Per-process signature: fold the result of every delivered step.
-    std::vector<std::uint64_t> proc_sig(static_cast<std::size_t>(task_->n_procs()), kFnvOffset);
+    std::vector<std::uint64_t> proc_sig(static_cast<std::size_t>(task_->n_procs()),
+                                        kStateHashOffset);
     w.enable_trace();
     for (int c : sched) {
       w.step(cpid(c));

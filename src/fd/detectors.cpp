@@ -2,17 +2,10 @@
 
 #include <algorithm>
 
+#include "sim/hash.hpp"
+
 namespace efd {
 namespace {
-
-// Deterministic noise: hash of (seed, qi, t, salt).
-std::uint64_t noise(std::uint64_t seed, int qi, Time t, std::uint64_t salt) {
-  std::uint64_t z = seed ^ (static_cast<std::uint64_t>(qi) << 32) ^
-                    static_cast<std::uint64_t>(t) ^ (salt * 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
 
 // The canonical "safe" correct process: the smallest correct index.
 int safe_process(const FailurePattern& f) {

@@ -3,21 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sim/hash.hpp"
+
 namespace efd {
-namespace {
-
-// SplitMix64-style hash of (seed, qi, t, salt) — same construction the
-// concrete detectors use for their pre-GST noise.
-std::uint64_t noise(std::uint64_t seed, int qi, Time t, std::uint64_t salt) {
-  std::uint64_t z = seed ^ (static_cast<std::uint64_t>(qi) << 32) ^
-                    static_cast<std::uint64_t>(t) ^ (salt * 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
 const char* to_string(FdFaultKind k) {
   switch (k) {
     case FdFaultKind::kNone: return "none";

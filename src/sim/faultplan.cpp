@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "sim/hash.hpp"
 #include "sim/world.hpp"
 
 namespace efd {
@@ -14,12 +15,7 @@ namespace {
 struct Rng {
   std::uint64_t s;
 
-  std::uint64_t next() {
-    std::uint64_t z = (s += 0x9E3779B97F4A7C15ULL);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-  }
+  std::uint64_t next() { return splitmix64(s); }
   /// Uniform in [0, n); 0 when n == 0.
   std::uint64_t below(std::uint64_t n) { return n == 0 ? 0 : next() % n; }
 };

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <exception>
 
+#include "sim/hash.hpp"
+
 namespace efd {
 namespace {
 
@@ -11,14 +13,6 @@ bool eligible(const World& w, Pid pid) {
   // Terminated processes only take null steps; scheduling them is legal but
   // useless, so fair schedulers skip them.
   return !w.terminated(pid);
-}
-
-std::uint64_t mix(std::uint64_t& s) {
-  s += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = s;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
 }
 
 }  // namespace
@@ -40,7 +34,7 @@ std::optional<Pid> RandomScheduler::next(const World& w) {
     if (eligible(w, pid)) pool.push_back(pid);
   }
   if (pool.empty()) return std::nullopt;
-  return pool[static_cast<std::size_t>(mix(state_) % pool.size())];
+  return pool[static_cast<std::size_t>(splitmix64(state_) % pool.size())];
 }
 
 std::optional<Pid> KConcurrencyScheduler::next(const World& w) {

@@ -2,11 +2,10 @@
 
 #include <sstream>
 
+#include "sim/hash.hpp"
+
 namespace efd {
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
 void hash_bytes(std::uint64_t& h, const void* data, std::size_t n) noexcept {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -190,7 +189,7 @@ void Value::hash_into(std::uint64_t& h) const noexcept {
 }
 
 std::uint64_t Value::hash() const noexcept {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kStateHashOffset;
   hash_into(h);
   return h;
 }

@@ -11,6 +11,8 @@
 #include <iterator>
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "core/campaign.hpp"
 #include "core/repro_scenarios.hpp"
@@ -42,15 +44,40 @@ TEST(Campaign, TargetRegistryIsWellFormed) {
   std::set<std::string> names;
   int clean = 0;
   int buggy = 0;
+  std::vector<std::string> order;
   for (const auto& t : campaign_targets()) {
     EXPECT_TRUE(names.insert(t.name).second) << "duplicate target " << t.name;
-    EXPECT_NE(find_scenario(t.scenario), nullptr) << t.name;
-    EXPECT_TRUE(static_cast<bool>(t.advice)) << t.name;
-    EXPECT_TRUE(static_cast<bool>(t.make_sched)) << t.name;
+    order.push_back(t.name);
     (t.expect_clean ? clean : buggy)++;
   }
   EXPECT_GE(clean, 3);   // the paper algorithms under campaign
   EXPECT_GE(buggy, 3);   // the seeded-buggy variants the campaign must catch
+  // The order fixes the farm's round-robin, the JSON row order and, with
+  // mutation on, which plans share a batch.
+  EXPECT_EQ(order, (std::vector<std::string>{"cons", "ksa", "ren", "p1c", "synth", "bcf", "brn",
+                                             "tw", "mpfm_raw", "mpfm_rt"}));
+  // Every campaign part runs in the scenario that holds it: run_plan and
+  // run_farm rely on this instead of checking each target at run time.
+  int parts = 0;
+  for (const Scenario& sc : scenarios()) {
+    if (!sc.campaign) continue;
+    ++parts;
+    const CampaignTarget& t = *sc.campaign;
+    EXPECT_EQ(t.scenario, sc.name) << t.name;
+    EXPECT_EQ(find_campaign_target(t.name)->scenario, sc.name) << t.name;
+    const FailurePattern base(sc.num_s);
+    EXPECT_EQ(sc.make_world(base, TrivialFd{}.history(base, 0)).num_c(), t.space.num_c) << t.name;
+    // Link daemons are no kill targets: an MP part's space may have no S.
+    EXPECT_TRUE(t.space.num_s == 0 || t.space.num_s == sc.num_s) << t.name;
+    EXPECT_TRUE(static_cast<bool>(t.advice)) << t.name;
+    EXPECT_TRUE(static_cast<bool>(t.make_sched)) << t.name;
+  }
+  EXPECT_EQ(parts, static_cast<int>(campaign_targets().size()));
+  // The name lookups that remain reject a scenario nobody registered.
+  CampaignTarget stray = *find_campaign_target("synth");
+  stray.scenario = "no_such_scenario";
+  EXPECT_THROW((void)run_plan(stray, FaultPlan{}, 1, false), std::invalid_argument);
+  EXPECT_THROW((void)shrink_finding("no_such_scenario", ScheduleTape{}), std::invalid_argument);
   EXPECT_EQ(find_campaign_target("cons")->scenario, "cons_leader_crash_commit");
   EXPECT_EQ(find_campaign_target("no-such-target"), nullptr);
 }

@@ -338,6 +338,7 @@ TEST(Scenarios, RegistryNamesAreUniqueAndResolvable) {
     names.push_back(sc.name);
     EXPECT_EQ(find_scenario(sc.name), &sc);
     EXPECT_FALSE(sc.summary.empty());
+    EXPECT_EQ(sc.record(1).num_s, sc.num_s) << sc.name;
   }
   std::sort(names.begin(), names.end());
   EXPECT_EQ(std::unique(names.begin(), names.end()), names.end());
